@@ -23,7 +23,7 @@ from .laws import (
     validate_law,
 )
 from .padic import PadicContext, box_points, checked_modulus, valuation_array
-from .rng import RngStream, derive_seed
+from .rng import derive_seed
 from .tree import (
     FieldPath,
     Path,
@@ -58,7 +58,6 @@ __all__ = [
     "box_points",
     "checked_modulus",
     "valuation_array",
-    "RngStream",
     "derive_seed",
     "FieldPath",
     "Path",

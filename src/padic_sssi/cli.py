@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path as FsPath
 
@@ -142,11 +143,13 @@ def _read_series(path: str) -> np.ndarray:
         start = 1  # header row
     values = []
     for ln in lines[start:]:
-        parts = ln.split(",")
         try:
-            values.append(float(parts[-1]))
+            value = float(ln.split(",")[-1])
         except ValueError:
             raise ConfigError(f"input: malformed row {ln!r} in {path}") from None
+        if not math.isfinite(value):
+            raise ConfigError(f"input: non-finite value in row {ln!r} of {path}")
+        values.append(value)
     if len(values) < 2:
         raise ConfigError(f"input: {path} needs at least 2 values, got {len(values)}")
     return np.asarray(values, dtype=np.float64)
@@ -176,7 +179,7 @@ def _cmd_analyze(args) -> int:
         _, lp_err = dg.limit_periodic_approx(f, ctx, k)
         mod_rows.append((k, ctx.p ** k, om, lp_err))
         k += 1
-    scenarios._write_csv(outdir / "modulus.csv", ["K", "p_pow_K", "omega", "limit_periodic_error"], mod_rows)
+    scenarios.write_csv(outdir / "modulus.csv", ["K", "p_pow_K", "omega", "limit_periodic_error"], mod_rows)
 
     dist = dg.translate_sup_profile(f, tau_max)
     epsilons = args.epsilon or [0.5]
@@ -188,19 +191,19 @@ def _cmd_analyze(args) -> int:
         rep = dg.bohr_translation_set(f, eps, tau_max, distances=dist)
         bohr_rows.append((eps, len(rep.taus), rep.max_gap))
         bohr_summaries.append(rep.to_dict())
-    scenarios._write_csv(outdir / "bohr.csv", ["epsilon", "accepted_count", "max_gap"], bohr_rows)
+    scenarios.write_csv(outdir / "bohr.csv", ["epsilon", "accepted_count", "max_gap"], bohr_rows)
 
     if not 1 <= args.tau < horizon:
         raise ConfigError(f"tau must lie in 1..{horizon - 1}, got {args.tau}")
     u = dg.translate_diff(f, args.tau)
-    grid = [L for L in scenarios._dyadic_grid(u.horizon)]
+    grid = dg.dyadic_grid(u.horizon)
     wp = dg.weyl_profile(u, args.q, grid)
     bp = dg.besicovitch_profile(u, args.q, grid)
     prof_rows = [(args.tau, L, w, b) for L, w, b in zip(grid, wp.estimates, bp.estimates)]
-    scenarios._write_csv(outdir / "profiles.csv", ["tau", "L", "weyl", "besicovitch"], prof_rows)
+    scenarios.write_csv(outdir / "profiles.csv", ["tau", "L", "weyl", "besicovitch"], prof_rows)
 
     mgrid, mvals = dg.running_max(f)
-    scenarios._write_csv(outdir / "running_max.csv", ["N", "running_max"], [(g, v) for g, v in zip(mgrid, mvals)])
+    scenarios.write_csv(outdir / "running_max.csv", ["N", "running_max"], [(g, v) for g, v in zip(mgrid, mvals)])
 
     payload = {
         "version": __version__,

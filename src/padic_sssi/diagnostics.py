@@ -449,6 +449,15 @@ def sup_norm(f) -> float:
     return float(np.max(np.abs(f.values)))
 
 
+def dyadic_grid(limit: int) -> list[int]:
+    """The powers of two 1, 2, 4, ... up to and including `limit`."""
+    grid, value = [], 1
+    while value <= limit:
+        grid.append(value)
+        value *= 2
+    return grid
+
+
 def running_max(f, grid=None) -> tuple[tuple[int, ...], np.ndarray]:
     """Prefix maxima M(N') = max_{n < N'} |f(n)| on a dyadic default grid.
 
@@ -458,11 +467,7 @@ def running_max(f, grid=None) -> tuple[tuple[int, ...], np.ndarray]:
     f = _as_series(f)
     n = f.horizon
     if grid is None:
-        grid = []
-        L = 1
-        while L <= n:
-            grid.append(L)
-            L *= 2
+        grid = dyadic_grid(n)
         if grid[-1] != n:
             grid.append(n)
     grid = tuple(int(g) for g in grid)

@@ -192,16 +192,8 @@ def sublattice_law_test(
     left_seeds = _replica_seeds(spec, _PURPOSE_LEFT, seeds, repetition)
     right_seeds = _replica_seeds(spec, _PURPOSE_RIGHT, seeds, repetition)
 
-    step = spec.p ** K
-    # left: sum over levels K..kmax of w_k (xi_{k, r+step*index} - xi_{k, r})
-    hi = np.int64(r + step * index)
-    lo = np.int64(r)
-    left = np.zeros(seeds, dtype=np.float64)
-    for k in range(spec.kmax, K - 1, -1):
-        m = spec.level_modulus(k)
-        vals = laws.keyed_values(spec.law, left_seeds, k, int(hi) % m)
-        base = laws.keyed_values(spec.law, left_seeds, k, int(lo) % m)
-        left += spec.weight(k) * (vals - base)
+    # left: sum over levels K..kmax of w_k (xi_{k, r+p**K index} - xi_{k, r})
+    left = tree.level_sum(spec, tree.keyed_lookup(spec, left_seeds), r + spec.p ** K * index, base=r, k_lo=K)
 
     right_spec = spec if mode == "unmatched" else TreeSpec(
         p=spec.p, hurst=spec.hurst, kmax=spec.kmax - K, law=spec.law, seed=spec.seed, dim=spec.dim

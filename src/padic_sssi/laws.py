@@ -165,18 +165,6 @@ def _transform(law: IncrementLaw, u64: np.ndarray, sign_word: np.ndarray) -> np.
     raise TypeError(f"unknown increment law {law!r}")
 
 
-def sample(law: IncrementLaw, stream: rng.RngStream) -> tuple[float, rng.RngStream]:
-    """Draw one value from `stream`, returning it with the advanced stream."""
-    u64, sw, advanced = stream.next_words(1)
-    return float(_transform(law, u64, sw)[0]), advanced
-
-
-def sample_block(law: IncrementLaw, stream: rng.RngStream, count: int) -> tuple[np.ndarray, rng.RngStream]:
-    """Draw `count` consecutive values from `stream`."""
-    u64, sw, advanced = stream.next_words(count)
-    return _transform(law, u64, sw), advanced
-
-
 def keyed_values(law: IncrementLaw, seed, level, residue) -> np.ndarray:
     """Sample xi at addresses (seed, level, residue); arguments broadcast.
 

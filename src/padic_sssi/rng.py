@@ -20,8 +20,6 @@ words 0 and 1 form the 64-bit uniform source, word 2 supplies the sign bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 import numpy as np
 
 # Philox-4x32 round constants (Random123 reference values).
@@ -33,7 +31,6 @@ _MASK32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 _ROUNDS = 10
 
-_U64_MAX = (1 << 64) - 1
 _U32_MAX = (1 << 32) - 1
 
 # tag0 values at or above this offset are reserved for internal seed
@@ -151,51 +148,3 @@ def derive_seed(master_seed: int, purpose: int, index) -> np.ndarray:
         raise ValueError(f"purpose {purpose} out of range")
     u64, _ = uniform_words(master_seed, DERIVE_TAG_BASE + purpose, index, 0)
     return u64
-
-
-@dataclass(frozen=True)
-class RngStream:
-    """Immutable handle on one addressable stream.
-
-    `master_seed` is a 64-bit integer, `stream_tag` an empty, one or two
-    element tuple of non-negative integers (first element below 2**32,
-    second below 2**64), `counter` the index of the next draw.  Drawing
-    never mutates the handle; consumers receive a replacement with the
-    counter advanced.
-    """
-
-    master_seed: int
-    stream_tag: tuple[int, ...] = ()
-    counter: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.master_seed <= _U64_MAX:
-            raise ValueError(f"master_seed must be a 64-bit unsigned integer, got {self.master_seed}")
-        tag = tuple(int(t) for t in self.stream_tag)
-        object.__setattr__(self, "stream_tag", tag)
-        if len(tag) > 2:
-            raise ValueError(f"stream_tag holds at most two integers, got {len(tag)}")
-        if tag and not 0 <= tag[0] <= _U32_MAX:
-            raise ValueError(f"stream_tag[0] must fit in 32 bits, got {tag[0]}")
-        if len(tag) == 2 and not 0 <= tag[1] <= _U64_MAX:
-            raise ValueError(f"stream_tag[1] must fit in 64 bits, got {tag[1]}")
-        if not 0 <= self.counter <= _U32_MAX:
-            raise ValueError(f"counter must fit in 32 bits, got {self.counter}")
-
-    @property
-    def tag_words(self) -> tuple[int, int]:
-        t0 = self.stream_tag[0] if self.stream_tag else 0
-        t1 = self.stream_tag[1] if len(self.stream_tag) == 2 else 0
-        return t0, t1
-
-    def advanced(self, count: int = 1) -> "RngStream":
-        return replace(self, counter=self.counter + count)
-
-    def next_words(self, count: int = 1) -> tuple[np.ndarray, np.ndarray, "RngStream"]:
-        """Return (uniform64, sign_word) arrays for the next `count` draws."""
-        if count < 1:
-            raise ValueError("count must be positive")
-        t0, t1 = self.tag_words
-        idx = np.arange(self.counter, self.counter + count, dtype=np.uint64)
-        u64, sw = uniform_words(self.master_seed, t0, t1, idx)
-        return u64, sw, self.advanced(count)

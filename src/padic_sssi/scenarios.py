@@ -290,7 +290,8 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _write_csv(path: FsPath, header: list[str], rows: list[tuple]) -> None:
+def write_csv(path: FsPath, header: list[str], rows: list[tuple]) -> None:
+    """One header line, then one comma-joined line per row; floats as repr."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -299,42 +300,6 @@ def _write_csv(path: FsPath, header: list[str], rows: list[tuple]) -> None:
 
 def _replica_seeds(cfg: ExperimentConfig, count: int) -> np.ndarray:
     return rng.derive_seed(cfg.seed, _PURPOSE_REPLICA, np.arange(count, dtype=np.uint64))
-
-
-def _dyadic_grid(limit: int) -> list[int]:
-    grid, value = [], 1
-    while value <= limit:
-        grid.append(value)
-        value *= 2
-    return grid
-
-
-def _streamed_path_stats(spec: TreeSpec, horizon: int, q: float, want_B: bool):
-    """One pass over levels: path values plus (optionally) level q-means.
-
-    Generates each level's noise once, uses it for both the path
-    accumulation and the full-period level average B_{k,q}, then discards
-    it, so memory stays at one level plus the path.
-    """
-    n = np.arange(horizon, dtype=np.int64)
-    x = np.zeros(horizon, dtype=np.float64)
-    b: dict[int, float] = {}
-    for k in range(spec.kmax, -1, -1):
-        m = spec.level_modulus(k)
-        if m <= horizon:
-            arr = tree.level_values(spec, k, np.arange(m, dtype=np.int64))
-            x += spec.weight(k) * (arr[n % m] - arr[0])
-        else:
-            if want_B:
-                arr = tree.level_values(spec, k, np.arange(m, dtype=np.int64))
-                x += spec.weight(k) * (arr[n] - arr[0])
-            else:
-                arr = tree.level_values(spec, k, n)
-                x += spec.weight(k) * (arr - tree.level_values(spec, k, np.int64(0)))
-        if want_B:
-            b[k] = float(np.mean(np.abs(arr) ** q) ** (1.0 / q))
-        del arr
-    return x, b
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +335,7 @@ def run_hierarchy_demo(cfg: ExperimentConfig, outdir: FsPath) -> tuple[dict, lis
         for eps in cfg.epsilons:
             rep = dg.bohr_translation_set(f, eps, cfg.tau_max, distances=dist)
             bohr_rows.append((name, eps, len(rep.taus), rep.max_gap))
-        grid = cfg.window_grid or _dyadic_grid(cfg.horizon - 8)
+        grid = cfg.window_grid or dg.dyadic_grid(cfg.horizon - 8)
         for tau in (3, 4):
             u = dg.translate_diff(f, tau)
             g = [L for L in grid if L <= u.horizon]
@@ -387,10 +352,10 @@ def run_hierarchy_demo(cfg: ExperimentConfig, outdir: FsPath) -> tuple[dict, lis
                 f, cfg.epsilons[0], cfg.tau_max, distances=dist
             ).max_gap,
         }
-    _write_csv(outdir / "modulus.csv", ["sequence", "K", "p_pow_K", "omega"], mod_rows)
-    _write_csv(outdir / "bohr.csv", ["sequence", "epsilon", "accepted_count", "max_gap"], bohr_rows)
-    _write_csv(outdir / "profiles.csv", ["sequence", "tau", "L", "weyl", "besicovitch"], prof_rows)
-    _write_csv(outdir / "limit_periodic.csv", ["sequence", "K", "sup_error"], lp_rows)
+    write_csv(outdir / "modulus.csv", ["sequence", "K", "p_pow_K", "omega"], mod_rows)
+    write_csv(outdir / "bohr.csv", ["sequence", "epsilon", "accepted_count", "max_gap"], bohr_rows)
+    write_csv(outdir / "profiles.csv", ["sequence", "tau", "L", "weyl", "besicovitch"], prof_rows)
+    write_csv(outdir / "limit_periodic.csv", ["sequence", "K", "sup_error"], lp_rows)
 
     failures = []
     ind = summary["sequences"]["indicator3"]
@@ -422,8 +387,7 @@ def run_equivalence(cfg: ExperimentConfig, outdir: FsPath) -> tuple[dict, list[s
         law_name, seed_index = job
         law = laws_by_name[law_name]
         spec = TreeSpec(p=cfg.p, hurst=cfg.hurst, kmax=cfg.kmax, law=law, seed=int(seeds[seed_index]), dim=1)
-        x, _ = _streamed_path_stats(spec, cfg.horizon, cfg.q, want_B=False)
-        f = dg.SeriesView(x)
+        f = dg.SeriesView(tree.lazy_path(spec, cfg.horizon).values)
         dist = dg.translate_sup_profile(f, cfg.tau_max)
         rows_m, rows_l, rows_b = [], [], []
         moduli = {}
@@ -459,9 +423,9 @@ def run_equivalence(cfg: ExperimentConfig, outdir: FsPath) -> tuple[dict, list[s
             for _, si, K, eps, gap, bound in rows_b:
                 if gap > bound:
                     gap_violations.append((si, K, gap, bound))
-    _write_csv(outdir / "modulus_curves.csv", ["law", "seed_index", "K", "omega"], mod_rows)
-    _write_csv(outdir / "limit_periodic.csv", ["law", "seed_index", "K", "sup_error"], lp_rows)
-    _write_csv(
+    write_csv(outdir / "modulus_curves.csv", ["law", "seed_index", "K", "omega"], mod_rows)
+    write_csv(outdir / "limit_periodic.csv", ["law", "seed_index", "K", "sup_error"], lp_rows)
+    write_csv(
         outdir / "bohr_gaps.csv",
         ["law", "seed_index", "K", "epsilon", "max_gap", "gap_bound"],
         bohr_rows,
@@ -511,12 +475,23 @@ def run_theorem_5_2(cfg: ExperimentConfig, outdir: FsPath) -> tuple[dict, list[s
     seeds = _replica_seeds(cfg, cfg.replicates)
     ctx = PadicContext(cfg.p)
     usable_k = [K for K in cfg.k_list if cfg.p ** K < cfg.horizon]
-    grid = cfg.window_grid or _dyadic_grid(cfg.horizon // 2)
+    grid = cfg.window_grid or dg.dyadic_grid(cfg.horizon // 2)
 
     def one(seed_index: int):
         spec = TreeSpec(p=cfg.p, hurst=hurst, kmax=cfg.kmax, law=law, seed=int(seeds[seed_index]), dim=1)
-        x, b = _streamed_path_stats(spec, cfg.horizon, q, want_B=True)
-        f = dg.SeriesView(x)
+        # one full period per level, held one level at a time: the path and
+        # the level q-means B_{k,q} come from the same draws
+        held: dict[int, np.ndarray] = {}
+        b: dict[int, float] = {}
+
+        def xi(k: int, residues) -> np.ndarray:
+            if k not in held:
+                held.clear()
+                held[k] = arr = tree.level_values(spec, k, np.arange(spec.level_modulus(k), dtype=np.int64))
+                b[k] = float(np.mean(np.abs(arr) ** q) ** (1.0 / q))
+            return held[k][residues]
+
+        f = dg.SeriesView(tree.level_sum(spec, xi, np.arange(cfg.horizon, dtype=np.int64)))
         tail_rows, weyl_rows = [], []
         bounds, heads = {}, {}
         for K in usable_k:
@@ -556,10 +531,10 @@ def run_theorem_5_2(cfg: ExperimentConfig, outdir: FsPath) -> tuple[dict, list[s
             b_pass += 1
         if om8 >= 0.5 * om0:
             c_pass += 1
-    _write_csv(outdir / "tail_bounds.csv", ["seed_index", "K", "weyl_tail_bound"], tail_rows)
-    _write_csv(outdir / "translate_weyl.csv", ["seed_index", "K", "tau", "weyl_headline"], weyl_rows)
-    _write_csv(outdir / "running_max.csv", ["seed_index", "N", "running_max"], rm_rows)
-    _write_csv(outdir / "moduli.csv", ["seed_index", "K", "omega"], mod_rows)
+    write_csv(outdir / "tail_bounds.csv", ["seed_index", "K", "weyl_tail_bound"], tail_rows)
+    write_csv(outdir / "translate_weyl.csv", ["seed_index", "K", "tau", "weyl_headline"], weyl_rows)
+    write_csv(outdir / "running_max.csv", ["seed_index", "N", "running_max"], rm_rows)
+    write_csv(outdir / "moduli.csv", ["seed_index", "K", "omega"], mod_rows)
 
     n = cfg.replicates
     summary = {
@@ -632,7 +607,7 @@ def run_identity_suite(cfg: ExperimentConfig, outdir: FsPath) -> tuple[dict, lis
                 "pass" if report.passed else "fail",
             )
         )
-    _write_csv(
+    write_csv(
         outdir / "identities.csv",
         ["identity", "params", "repetition", "m", "n", "D", "threshold", "verdict"],
         rows,
@@ -696,8 +671,8 @@ def run_field_demo(cfg: ExperimentConfig, outdir: FsPath) -> tuple[dict, list[st
         if any(b > a + 1e-12 for a, b in zip(vals, vals[1:])):
             monotone_ok = False
         covering_ok = covering_ok and cover_ok
-    _write_csv(outdir / "field_moduli.csv", ["seed_index", "K", "omega"], mod_rows)
-    _write_csv(
+    write_csv(outdir / "field_moduli.csv", ["seed_index", "K", "omega"], mod_rows)
+    write_csv(
         outdir / "field_translations.csv",
         ["seed_index", "K", "epsilon", "accepted_count", "worst_empty_side", "covering_side"],
         tr_rows,

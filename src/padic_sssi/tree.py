@@ -12,6 +12,10 @@ addressed by (seed, k, r) through a counter-based generator, levels can be
 materialized densely, evaluated lazily at arbitrary indices without
 storage, and extended to a larger Kmax without disturbing existing levels.
 
+Every evaluation (dense or lazy paths, pointwise values, fields, sublattice
+paths) is one call of level_sum with a per-level lookup of xi, so all of
+them combine the same addressed draws in the same order.
+
 Sublattice increment paths u -> X_{r + p**K u} - X_r are computed from
 levels k >= K only: a step of p**K leaves residues mod p**(k+1) unchanged
 for every k < K, so those levels cancel exactly and the direct k >= K sum
@@ -21,6 +25,7 @@ avoids the float cancellation noise of naive differencing.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import struct
 from dataclasses import dataclass
@@ -152,22 +157,26 @@ class TreeLevels:
             raise ValueError(f"index must have {self.spec.dim} coordinates")
         return float(self.arrays[k][tuple(c % m for c in point)])
 
+    def block(self, k: int, residues) -> np.ndarray:
+        """Gather level k over the box residues**dim (residues index every axis)."""
+        axis = np.atleast_1d(residues)
+        return self.arrays[k][np.ix_(*[axis] * self.spec.dim)]
+
 
 def build_levels(spec: TreeSpec, memory_cap: int = DEFAULT_MEMORY_CAP) -> TreeLevels:
     """Materialize all levels 0..kmax as dense arrays.
 
     Raises ResourceCapError naming the offending level if cumulative entry
-    counts would exceed `memory_cap`.
+    counts would exceed `memory_cap`; the check runs before anything is drawn.
     """
-    total = 0
-    arrays = []
-    for k in range(spec.kmax + 1):
-        count = spec.level_entry_count(k)
-        total += count
+    counts = (spec.level_entry_count(k) for k in range(spec.kmax + 1))
+    for k, total in enumerate(itertools.accumulate(counts)):
         if total > memory_cap:
             raise ResourceCapError(
                 f"level {k} pushes stored entries to {total}, above the cap of {memory_cap}"
             )
+    arrays = []
+    for k in range(spec.kmax + 1):
         m = spec.level_modulus(k)
         if spec.dim == 1:
             vals = level_values(spec, k, np.arange(m, dtype=np.int64))
@@ -179,9 +188,40 @@ def build_levels(spec: TreeSpec, memory_cap: int = DEFAULT_MEMORY_CAP) -> TreeLe
     return TreeLevels(spec=spec, arrays=tuple(arrays))
 
 
-def xi_at(levels: TreeLevels, k: int, point) -> float:
-    """Periodic lookup xi_{k, point mod p**(k+1)} (componentwise residue)."""
-    return levels.xi(k, point)
+def level_sum(spec: TreeSpec, xi, points, base=0, k_lo: int = 0) -> np.ndarray:
+    """sum_{k=kmax..k_lo} w_k (xi(k, points mod p**(k+1)) - xi(k, base mod p**(k+1))).
+
+    `xi(k, residues)` looks up level k at an integer array (or scalar) of
+    residues; the result has the broadcast shape of the lookups.  Levels are
+    added from the smallest weight up, which keeps the float accumulation
+    error tiny and fixes the summation order every caller shares.
+    """
+    acc = None
+    for k in range(spec.kmax, k_lo - 1, -1):
+        m = spec.level_modulus(k)
+        term = spec.weight(k) * (xi(k, points % m) - xi(k, base % m))
+        if acc is None:
+            acc = np.zeros(np.shape(term), dtype=np.float64)
+        acc += term
+    return acc
+
+
+def keyed_lookup(spec: TreeSpec, seeds=None):
+    """Lookup xi(k, residues) drawing addressed values, at spec.seed or at `seeds`.
+
+    At a single seed, a residue array longer than the level's period draws
+    the period once and gathers from it, so no address is drawn twice.
+    """
+    seed = spec.seed if seeds is None else np.asarray(seeds, dtype=np.uint64)
+    single_seed = np.ndim(seed) == 0
+
+    def xi(k: int, residues) -> np.ndarray:
+        m = spec.level_modulus(k)
+        if single_seed and np.size(residues) > m:
+            return laws.keyed_values(spec.law, seed, k, np.arange(m, dtype=np.int64))[residues]
+        return laws.keyed_values(spec.law, seed, k, residues)
+
+    return xi
 
 
 @dataclass(frozen=True)
@@ -209,21 +249,19 @@ class FieldPath:
         return self.values.ravel()
 
 
+def _check_path_request(spec: TreeSpec, horizon: int, name: str) -> None:
+    if spec.dim != 1:
+        raise ValueError(f"{name} requires dim=1; use field for higher dimensions")
+    if horizon < 1:
+        raise ValueError(f"horizon must be at least 1, got {horizon}")
+
+
 def path(levels: TreeLevels, horizon: int) -> Path:
     """Evaluate X_0..X_{horizon-1} from dense levels (dim = 1 only)."""
     spec = levels.spec
-    if spec.dim != 1:
-        raise ValueError("path requires dim=1; use field for higher dimensions")
-    if horizon < 1:
-        raise ValueError(f"horizon must be at least 1, got {horizon}")
-    n = np.arange(horizon, dtype=np.int64)
-    acc = np.zeros(horizon, dtype=np.float64)
-    # smallest weights first keeps the float accumulation error tiny
-    for k in range(spec.kmax, -1, -1):
-        arr = levels.arrays[k]
-        m = spec.level_modulus(k)
-        acc += spec.weight(k) * (arr[n % m] - arr[0])
-    return Path(values=acc, spec=spec, horizon=horizon)
+    _check_path_request(spec, horizon, "path")
+    values = level_sum(spec, levels.block, np.arange(horizon, dtype=np.int64))
+    return Path(values=values, spec=spec, horizon=horizon)
 
 
 def lazy_path(spec: TreeSpec, horizon: int) -> Path:
@@ -232,18 +270,9 @@ def lazy_path(spec: TreeSpec, horizon: int) -> Path:
     Produces bit-identical values to path(build_levels(spec), horizon):
     the same addressed draws are combined in the same order.
     """
-    if spec.dim != 1:
-        raise ValueError("lazy_path requires dim=1")
-    if horizon < 1:
-        raise ValueError(f"horizon must be at least 1, got {horizon}")
-    n = np.arange(horizon, dtype=np.int64)
-    acc = np.zeros(horizon, dtype=np.float64)
-    for k in range(spec.kmax, -1, -1):
-        m = spec.level_modulus(k)
-        vals = level_values(spec, k, n % m)
-        origin = level_values(spec, k, np.int64(0))
-        acc += spec.weight(k) * (vals - origin)
-    return Path(values=acc, spec=spec, horizon=horizon)
+    _check_path_request(spec, horizon, "lazy_path")
+    values = level_sum(spec, keyed_lookup(spec), np.arange(horizon, dtype=np.int64))
+    return Path(values=values, spec=spec, horizon=horizon)
 
 
 def path_values(spec: TreeSpec, indices, seeds=None) -> np.ndarray:
@@ -258,38 +287,15 @@ def path_values(spec: TreeSpec, indices, seeds=None) -> np.ndarray:
     idx = np.asarray(indices, dtype=np.int64)
     if np.any(idx < 0):
         raise ValueError("indices must be non-negative")
-    seed = spec.seed if seeds is None else np.asarray(seeds, dtype=np.uint64)
-    out_shape = np.broadcast_shapes(idx.shape, np.shape(seed))
-    acc = np.zeros(out_shape, dtype=np.float64)
-    for k in range(spec.kmax, -1, -1):
-        m = spec.level_modulus(k)
-        r = idx % m
-        vals = laws.keyed_values(spec.law, seed, k, r)
-        origin = laws.keyed_values(spec.law, seed, k, np.zeros_like(r))
-        acc += spec.weight(k) * (vals - origin)
-    return acc
+    return level_sum(spec, keyed_lookup(spec, seeds), idx)
 
 
 def field(levels: TreeLevels, side: int) -> FieldPath:
     """Evaluate the field over the box {0..side}**dim."""
-    spec = levels.spec
     if side < 0:
         raise ValueError(f"side must be non-negative, got {side}")
-    shape = (side + 1,) * spec.dim
-    acc = np.zeros(shape, dtype=np.float64)
-    coords = np.arange(side + 1, dtype=np.int64)
-    for k in range(spec.kmax, -1, -1):
-        arr = levels.arrays[k]
-        m = spec.level_modulus(k)
-        ax = coords % m
-        if spec.dim == 1:
-            block = arr[ax]
-            origin = arr[0]
-        else:
-            block = arr[np.ix_(*([ax] * spec.dim))]
-            origin = arr[(0,) * spec.dim]
-        acc += spec.weight(k) * (block - origin)
-    return FieldPath(values=acc, spec=spec, side=side)
+    values = level_sum(levels.spec, levels.block, np.arange(side + 1, dtype=np.int64))
+    return FieldPath(values=values, spec=levels.spec, side=side)
 
 
 def sublattice_path(levels: TreeLevels, r: int, K: int, horizon: int) -> Path:
@@ -299,25 +305,18 @@ def sublattice_path(levels: TreeLevels, r: int, K: int, horizon: int) -> Path:
     because a step of p**K does not move residues mod p**(k+1) for k < K.
     """
     spec = levels.spec
-    if spec.dim != 1:
-        raise ValueError("sublattice_path requires dim=1")
+    _check_path_request(spec, horizon, "sublattice_path")
     if not 0 <= K <= spec.kmax:
         raise ValueError(f"K must lie in 0..kmax={spec.kmax}, got {K}")
     if r < 0:
         raise ValueError(f"base point must be non-negative, got {r}")
-    if horizon < 1:
-        raise ValueError(f"horizon must be at least 1, got {horizon}")
     step = checked_modulus(spec.p, K)
     top = r + step * (horizon - 1)
     if top > (1 << 62):
         raise OverflowError(f"sublattice index {top} exceeds the supported range")
-    u = np.arange(horizon, dtype=np.int64)
-    acc = np.zeros(horizon, dtype=np.float64)
-    for k in range(spec.kmax, K - 1, -1):
-        arr = levels.arrays[k]
-        m = spec.level_modulus(k)
-        acc += spec.weight(k) * (arr[(r + step * u) % m] - arr[r % m])
-    return Path(values=acc, spec=spec, horizon=horizon)
+    points = r + step * np.arange(horizon, dtype=np.int64)
+    values = level_sum(spec, levels.block, points, base=r, k_lo=K)
+    return Path(values=values, spec=spec, horizon=horizon)
 
 
 def truncation_tail_bound(spec: TreeSpec) -> float:

@@ -147,6 +147,12 @@ def test_analyze_input_errors(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("value\n1.0\nfoo,bar\n")
     assert run_cli(["analyze", "--input", bad]) == 2
+    nonfinite = tmp_path / "nonfinite.csv"
+    nonfinite.write_text("index,value\n0,1.0\n1,nan\n2,inf\n")
+    capsys.readouterr()
+    assert run_cli(["analyze", "--input", nonfinite, "--out", tmp_path / "nf"]) == 2
+    assert "'1,nan'" in capsys.readouterr().err
+    assert not (tmp_path / "nf").exists()
     ok = tmp_path / "ok.csv"
     ok.write_text("value\n1.0\n2.0\n3.0\n")
     assert run_cli(["analyze", "--input", ok, "--p", 4]) == 2

@@ -138,23 +138,3 @@ def test_derive_seed_rejects_bad_purpose():
     with pytest.raises(ValueError):
         rng.derive_seed(1, -1, 0)
 
-
-def test_stream_interface():
-    s = rng.RngStream(master_seed=7, stream_tag=(3, 4))
-    u1, g1, s2 = s.next_words()
-    u2, _, _ = s2.next_words()
-    assert s2.counter == 1
-    assert not np.array_equal(np.asarray(u1), np.asarray(u2))
-    again, g_again, _ = rng.RngStream(master_seed=7, stream_tag=(3, 4)).next_words()
-    assert np.array_equal(np.asarray(u1), np.asarray(again))
-    assert np.array_equal(np.asarray(g1), np.asarray(g_again))
-    assert s.advanced(10).counter == 10
-
-
-def test_stream_validation():
-    with pytest.raises(ValueError):
-        rng.RngStream(master_seed=-1)
-    with pytest.raises(ValueError):
-        rng.RngStream(master_seed=1, stream_tag=(1, 2, 3))
-    with pytest.raises(ValueError):
-        rng.RngStream(master_seed=1, counter=-5)

@@ -85,12 +85,33 @@ def test_rademacher_single_level_support():
     assert len(seen) == 3
 
 
-def test_lazy_matches_dense_bitwise():
-    for law in (Gaussian(1.0), SymmetricPareto(1.25), Rademacher()):
-        spec = make_spec(law=law, kmax=6, hurst=0.7, seed=77)
-        dense = tree.path(tree.build_levels(spec), 200)
-        lazy = tree.lazy_path(spec, 200)
-        assert np.array_equal(dense.values, lazy.values)
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.integers(min_value=0, max_value=5),
+    st.sampled_from([Gaussian(1.0), SymmetricPareto(1.25), Rademacher()]),
+    st.booleans(),
+    st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_lazy_matches_dense_bitwise(p, kmax, law, beyond_period, data):
+    # horizons on both sides of the deepest period p**(kmax+1) reach both the
+    # gathered and the directly drawn lookups of lazy_path
+    spec = make_spec(p=p, kmax=kmax, law=law, hurst=0.7, seed=data.draw(st.integers(0, 2**64 - 1)))
+    period = spec.level_modulus(kmax)
+    horizon = data.draw(st.integers(period + 1, 2 * period) if beyond_period else st.integers(1, period))
+    levels = tree.build_levels(spec)
+    assert np.array_equal(tree.lazy_path(spec, horizon).values, tree.path(levels, horizon).values)
+
+    # sublattice path against a level-by-level sum of scalar lookups
+    K = data.draw(st.integers(0, kmax))
+    r = data.draw(st.integers(0, 3 * period))
+    steps = data.draw(st.integers(1, 12))
+    got = tree.sublattice_path(levels, r, K, steps).values
+    for u in range(steps):
+        acc = 0.0
+        for k in range(kmax, K - 1, -1):
+            acc += spec.weight(k) * (levels.xi(k, r + p**K * u) - levels.xi(k, r))
+        assert got[u] == acc
 
 
 def test_path_against_naive_differencing():
@@ -102,7 +123,7 @@ def test_path_against_naive_differencing():
         acc = 0.0
         for k in range(spec.kmax, -1, -1):
             m = spec.level_modulus(k)
-            acc += spec.weight(k) * (tree.xi_at(levels, k, n % m) - tree.xi_at(levels, k, 0))
+            acc += spec.weight(k) * (levels.xi(k, n % m) - levels.xi(k, 0))
         assert abs(acc - x.values[n]) <= 1e-9 * max(1.0, abs(acc))
 
 
@@ -112,8 +133,8 @@ def test_xi_periodicity():
     for k in range(4):
         m = spec.level_modulus(k)
         for n in (0, 1, m - 1):
-            assert tree.xi_at(levels, k, n) == tree.xi_at(levels, k, n + m)
-            assert tree.xi_at(levels, k, n) == tree.xi_at(levels, k, n - m)
+            assert levels.xi(k, n) == levels.xi(k, n + m)
+            assert levels.xi(k, n) == levels.xi(k, n - m)
 
 
 def test_truncation_extension_stability():
@@ -179,7 +200,7 @@ def test_sublattice_path_matches_decimated_construction():
         acc = 0.0
         for k in range(spec.kmax, K - 1, -1):
             m = spec.level_modulus(k)
-            acc += spec.weight(k) * (tree.xi_at(levels, k, (r + pK * u) % m) - tree.xi_at(levels, k, r % m))
+            acc += spec.weight(k) * (levels.xi(k, (r + pK * u) % m) - levels.xi(k, r % m))
         assert abs(acc - got[u]) <= 1e-9 * max(1.0, abs(acc))
 
 
@@ -228,6 +249,15 @@ def test_memory_cap_error_names_level():
     with pytest.raises(ResourceCapError) as err:
         tree.build_levels(spec)
     assert "level" in str(err.value)
+
+
+def test_memory_cap_refuses_before_drawing(monkeypatch):
+    drawn = []
+    monkeypatch.setattr("padic_sssi.laws.keyed_values", lambda *a: drawn.append(a))
+    with pytest.raises(ResourceCapError) as err:
+        tree.build_levels(make_spec(law=Gaussian(1.0), kmax=12, dim=2))
+    assert str(err.value) == "level 12 pushes stored entries to 89478484, above the cap of 33554432"
+    assert drawn == []
 
 
 def test_level_arrays_read_only():
