@@ -46,6 +46,8 @@ class SeriesView:
             raise ValueError(f"series must be one-dimensional, got shape {arr.shape}")
         if arr.size < 1:
             raise ValueError("series must be nonempty")
+        if not np.isfinite(arr).all():
+            raise ValueError("series values must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 

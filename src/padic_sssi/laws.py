@@ -165,13 +165,34 @@ def _transform(law: IncrementLaw, u64: np.ndarray, sign_word: np.ndarray) -> np.
     raise TypeError(f"unknown increment law {law!r}")
 
 
+# Lanes per block of a wide keyed draw.  Philox keeps about six live uint64
+# buffers per lane, so 2**14 lanes hold ~0.8 MiB and stay within a 2 MiB L2;
+# much smaller blocks lose to per-call overhead.
+_CHUNK = 1 << 14
+
+
 def keyed_values(law: IncrementLaw, seed, level, residue) -> np.ndarray:
     """Sample xi at addresses (seed, level, residue); arguments broadcast.
 
     The residue axis and the seed axis can each be vectorized: pass an array
     of residues with a scalar seed to fill one noise layer, or an array of
     seeds with a scalar residue to sample many independent replicas of one
-    layer entry.
+    layer entry.  Draws wider than _CHUNK lanes are computed in flat blocks
+    of _CHUNK lanes; every value is elementwise in its address, so no value
+    depends on the block size.
     """
-    u64, sw = rng.uniform_words(seed, level, residue, 0)
-    return _transform(law, u64, sw)
+    shape = np.broadcast_shapes(np.shape(seed), np.shape(level), np.shape(residue))
+    size = math.prod(shape)
+    if size <= _CHUNK:
+        u64, sw = rng.uniform_words(seed, level, residue, 0)
+        return _transform(law, u64, sw)
+    args = [
+        np.broadcast_to(a, shape).reshape(-1) if np.size(a) > 1 else np.reshape(a, ())
+        for a in (seed, level, residue)
+    ]
+    out = np.empty(size, dtype=np.float64)
+    for lo in range(0, size, _CHUNK):
+        block = slice(lo, lo + _CHUNK)
+        u64, sw = rng.uniform_words(*(a[block] if a.ndim else a for a in args), 0)
+        out[block] = _transform(law, u64, sw)
+    return out.reshape(shape)

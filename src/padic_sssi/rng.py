@@ -110,8 +110,10 @@ def uniform_words(seed, tag0, tag1, index) -> tuple[np.ndarray, np.ndarray]:
     is output word 2.  Word 3 is reserved.
     """
     w0, w1, w2, _ = block_words(seed, tag0, tag1, index)
-    u64 = (w0.astype(np.uint64) << np.uint64(32)) | w1.astype(np.uint64)
-    return u64, w2
+    # philox4x32 returns fresh uint64 buffers, so w0 can hold the result
+    np.left_shift(w0, _SHIFT32, out=w0)
+    np.bitwise_or(w0, w1, out=w0)
+    return w0, w2
 
 
 def uniform_open_closed(u64: np.ndarray) -> np.ndarray:

@@ -103,6 +103,8 @@ class TreeSpec:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "TreeSpec":
+        if not isinstance(obj, dict):
+            raise ValueError(f"tree spec must be an object, got {type(obj).__name__}")
         try:
             return cls(
                 p=int(obj["p"]),
@@ -372,19 +374,52 @@ def write_binary(obj: Path | FieldPath, stream: io.BufferedIOBase) -> None:
     stream.write(np.ascontiguousarray(values, dtype="<f8").tobytes())
 
 
+_READ_PIECE = 1 << 20
+
+
+def _read_exact(stream: io.BufferedIOBase, n: int, what: str) -> bytes:
+    """Read exactly n bytes or raise ValueError.
+
+    n may come from a corrupt header, and a buffered read(n) allocates n
+    bytes up front: a seekable stream is checked against the bytes it has
+    left before reading, and any other stream is read in bounded pieces.
+    """
+    if stream.seekable():
+        pos = stream.tell()
+        left = stream.seek(0, io.SEEK_END) - pos
+        stream.seek(pos)
+        if n > left:
+            raise ValueError(f"truncated {what}: {n} bytes expected, {left} left")
+        data = stream.read(n)
+    else:
+        pieces, got = [], 0
+        while got < n:
+            piece = stream.read(min(n - got, _READ_PIECE))
+            if not piece:
+                break
+            pieces.append(piece)
+            got += len(piece)
+        data = b"".join(pieces)
+    if len(data) != n:
+        raise ValueError(f"truncated {what}: {n} bytes expected, {len(data)} read")
+    return data
+
+
 def read_binary(stream: io.BufferedIOBase) -> Path | FieldPath:
-    """Parse a binary dump back into a Path or FieldPath."""
+    """Parse a binary dump back into a Path or FieldPath.
+
+    A short stream, or a header whose lengths exceed what the stream
+    holds, raises ValueError without allocating the claimed length.
+    """
     magic = stream.read(4)
     if magic != _MAGIC:
         raise ValueError(f"bad magic {magic!r}; not a path/field dump")
-    (version,) = struct.unpack("<B", stream.read(1))
+    (version,) = struct.unpack("<B", _read_exact(stream, 1, "format version"))
     if version != _FORMAT_VERSION:
         raise ValueError(f"unsupported format version {version}")
-    kind, blob_len, extent, count = struct.unpack("<BIQQ", stream.read(21))
-    spec = TreeSpec.from_dict(json.loads(stream.read(blob_len).decode("utf-8")))
-    raw = stream.read(8 * count)
-    if len(raw) != 8 * count:
-        raise ValueError("truncated value block")
+    kind, blob_len, extent, count = struct.unpack("<BIQQ", _read_exact(stream, 21, "record header"))
+    spec = TreeSpec.from_dict(json.loads(_read_exact(stream, blob_len, "spec record").decode("utf-8")))
+    raw = _read_exact(stream, 8 * count, "value block")
     values = np.frombuffer(raw, dtype="<f8").astype(np.float64)
     if kind == _KIND_PATH:
         if count != extent:

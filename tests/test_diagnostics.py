@@ -27,6 +27,9 @@ def test_series_view_validation():
         dg.SeriesView(np.zeros((2, 2)))
     with pytest.raises(ValueError):
         dg.SeriesView(np.array([]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            dg.SeriesView(np.array([0.0, bad, 1.0]))
     view = dg.SeriesView(np.arange(4.0))
     assert view.horizon == 4
     with pytest.raises(ValueError):

@@ -2,13 +2,14 @@
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padic_sssi import laws
+from padic_sssi import laws, rng
 from padic_sssi.laws import Gaussian, Rademacher, SymmetricPareto
 
 
@@ -90,6 +91,34 @@ def test_keyed_values_broadcast_over_seeds():
     by_residue = laws.keyed_values(law, 100, 3, np.arange(5, dtype=np.int64))
     assert by_residue.shape == (5,)
     assert by_residue[0] != by_residue[1]
+
+
+_CHUNK = laws._CHUNK
+
+
+@pytest.mark.parametrize("law", [SymmetricPareto(1.3), Gaussian(0.7), Rademacher()])
+@given(
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    level=st.integers(min_value=0, max_value=40),
+    offset=st.integers(min_value=0, max_value=2**40),
+)
+@settings(max_examples=4, deadline=None)
+def test_keyed_values_blocks_match_whole_array(law, seed, level, offset):
+    # blocked draws must equal one whole-array pass, bit for bit, on both
+    # sides of the block size and on the seed-axis shape of projection_probe_test
+    seeds = np.uint64(seed) + np.arange(10**4, dtype=np.uint64).reshape(1, -1)
+    cases = [(seeds, np.arange(2, dtype=np.int64).reshape(2, 1) + offset)]
+    for n in (0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7):
+        residues = np.arange(3 * n, dtype=np.int64) + offset
+        cases += [(seed, residues[:n]), (seed, residues.reshape(3, n))]
+    for s, residues in cases:
+        expected = laws._transform(law, *rng.uniform_words(s, level, residues, 0))
+        with mock.patch.object(rng, "uniform_words", wraps=rng.uniform_words) as spy:
+            got = laws.keyed_values(law, s, level, residues)
+        lanes = expected.size
+        assert spy.call_count == max(1, -(-lanes // _CHUNK)), lanes
+        assert got.dtype == np.float64 and got.shape == expected.shape
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), (lanes, got.shape)
 
 
 def test_json_roundtrip():

@@ -2,6 +2,7 @@
 
 import io
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -299,10 +300,40 @@ def test_binary_roundtrip_path_and_field():
     assert np.array_equal(np.asarray(fback.grid()), np.asarray(fp.grid()))
 
 
+class _Pipe(io.RawIOBase):
+    """A readable, non-seekable byte source, like a pipe."""
+
+    def __init__(self, data: bytes) -> None:
+        self._src = io.BytesIO(data)
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, b) -> int:
+        return self._src.readinto(b)
+
+
 def test_binary_rejects_corrupt_stream():
-    buf = io.BytesIO(b"NOPE" + b"\x00" * 64)
-    with pytest.raises(ValueError):
-        tree.read_binary(buf)
+    buf = io.BytesIO()
+    tree.write_binary(tree.lazy_path(make_spec(kmax=2, seed=3), 9), buf)
+    good = buf.getvalue()
+    # record layout: magic 4, version 1, then <BIQQ: kind, blob_len at 6, extent, count at 18
+    (blob_len,) = struct.unpack_from("<I", good, 6)
+    corrupt = [
+        b"NOPE" + b"\x00" * 64,
+        good[:4],  # ends before the version byte
+        good[:15],  # ends inside the record header
+        good[:6] + struct.pack("<I", 2**32 - 1) + good[10:],  # blob_len past the end
+        good[:18] + struct.pack("<Q", 2**61) + good[26:],  # count past the end
+        good[:6] + struct.pack("<I", 2) + good[10:26] + b"[]" + good[26 + blob_len :],  # spec not an object
+        good[:-3],  # truncated value block
+    ]
+    for data in corrupt:
+        for stream in (io.BytesIO(data), io.BufferedReader(_Pipe(data))):
+            with pytest.raises(ValueError):
+                tree.read_binary(stream)
+    piped = tree.read_binary(io.BufferedReader(_Pipe(good)))
+    assert np.array_equal(piped.values, tree.read_binary(io.BytesIO(good)).values)
 
 
 @given(
