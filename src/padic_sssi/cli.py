@@ -161,12 +161,18 @@ def _cmd_analyze(args) -> int:
         ctx = PadicContext(args.p)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if args.q < 1.0:
+    if not args.q >= 1.0:
         raise ConfigError(f"q must be >= 1, got {args.q}")
     horizon = values.size
     tau_max = min(args.tau_max, horizon - 1)
     if tau_max < 1:
         raise ConfigError(f"tau_max: series of length {horizon} admits no translations")
+    if not 1 <= args.tau < horizon:
+        raise ConfigError(f"tau must lie in 1..{horizon - 1}, got {args.tau}")
+    epsilons = args.epsilon or [0.5]
+    for eps in epsilons:
+        if not eps > 0:
+            raise ConfigError(f"epsilon must be positive, got {eps}")
     f = dg.SeriesView(values)
     outdir = FsPath(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -182,19 +188,14 @@ def _cmd_analyze(args) -> int:
     scenarios.write_csv(outdir / "modulus.csv", ["K", "p_pow_K", "omega", "limit_periodic_error"], mod_rows)
 
     dist = dg.translate_sup_profile(f, tau_max)
-    epsilons = args.epsilon or [0.5]
     bohr_rows = []
     bohr_summaries = []
     for eps in epsilons:
-        if eps <= 0:
-            raise ConfigError(f"epsilon must be positive, got {eps}")
         rep = dg.bohr_translation_set(f, eps, tau_max, distances=dist)
         bohr_rows.append((eps, len(rep.taus), rep.max_gap))
         bohr_summaries.append(rep.to_dict())
     scenarios.write_csv(outdir / "bohr.csv", ["epsilon", "accepted_count", "max_gap"], bohr_rows)
 
-    if not 1 <= args.tau < horizon:
-        raise ConfigError(f"tau must lie in 1..{horizon - 1}, got {args.tau}")
     u = dg.translate_diff(f, args.tau)
     grid = dg.dyadic_grid(u.horizon)
     wp = dg.weyl_profile(u, args.q, grid)

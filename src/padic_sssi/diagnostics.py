@@ -13,6 +13,9 @@ finite slice f(0..N-1) of a real sequence:
   computed in O(N) per K because the pairs inside one residue class mod
   p**K attain their sup at (class max, class min).
 
+The sup-distance and the modulus each have one kernel (_shift_distances,
+_class_ranges) that serves sequences and fields over {0..side}**d alike.
+
 Estimates are exact functions of the input array; the only approximation
 relative to the limit notions is the finite horizon, which every report
 records.  No randomness enters here.
@@ -21,24 +24,22 @@ records.  No randomness enters here.
 from __future__ import annotations
 
 import itertools
-import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .padic import PadicContext, checked_modulus
 
+# refuse field translation searches over more candidate vectors than this
+_ENUM_CAP = 1 << 22
+
 
 @dataclass(frozen=True)
 class SeriesView:
-    """A finite slice f(offset..offset+N-1) of a sequence, as float64.
-
-    `offset` is bookkeeping only: diagnostics treat the array as the
-    sequence restricted to 0..N-1.
-    """
+    """A finite slice f(0..N-1) of a sequence, as float64."""
 
     values: np.ndarray
-    offset: int = 0
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.values, dtype=np.float64)
@@ -87,9 +88,6 @@ class TranslationReport:
             "horizon": self.horizon,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 @dataclass(frozen=True)
 class SeminormProfile:
@@ -106,20 +104,6 @@ class SeminormProfile:
     headline: float
     horizon: int
 
-    def to_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "window_grid": list(self.window_grid),
-            "estimates": list(self.estimates),
-            "headline": self.headline,
-            "horizon": self.horizon,
-        }
-
-    def write_csv(self, stream) -> None:
-        stream.write("L,value\n")
-        for L, v in zip(self.window_grid, self.estimates):
-            stream.write(f"{L},{float(v)!r}\n")
-
 
 def translate_diff(f, tau: int) -> SeriesView:
     """The difference sequence u(n) = f(n+tau) - f(n), n = 0..N-1-tau."""
@@ -129,12 +113,31 @@ def translate_diff(f, tau: int) -> SeriesView:
     if tau >= f.horizon:
         raise ValueError(f"tau={tau} leaves no pairs inside horizon {f.horizon}")
     v = f.values
-    return SeriesView(values=v[tau:] - v[:-tau], offset=f.offset)
+    return SeriesView(values=v[tau:] - v[:-tau])
 
 
 def sup_translate_distance(f, tau: int) -> float:
     """max |f(n+tau) - f(n)| over the horizon."""
     return float(np.max(np.abs(translate_diff(f, tau).values)))
+
+
+def _shift_distances(values: np.ndarray, h_max: int) -> np.ndarray:
+    """max |f(n+h) - f(n)| over in-box pairs, for every h in {0..h_max}**d.
+
+    Entry h of the result holds the distance for shift vector h; entry 0 is
+    0.  One scratch buffer serves every shift (subtract, abs and max run in
+    place), so the loop allocates nothing per shift.
+    """
+    shape = values.shape
+    out = np.empty((h_max + 1,) * values.ndim, dtype=np.float64)
+    scratch = np.empty(values.size, dtype=np.float64)
+    for h in itertools.product(range(h_max + 1), repeat=values.ndim):
+        overlap = tuple(n - c for n, c in zip(shape, h))
+        b = scratch[: math.prod(overlap)].reshape(overlap)
+        np.subtract(values[tuple(slice(c, None) for c in h)], values[tuple(slice(None, n) for n in overlap)], out=b)
+        np.abs(b, out=b)
+        out[h] = b.max()
+    return out
 
 
 def translate_sup_profile(f, tau_max: int) -> np.ndarray:
@@ -146,11 +149,7 @@ def translate_sup_profile(f, tau_max: int) -> np.ndarray:
     f = _as_series(f)
     if not 1 <= tau_max < f.horizon:
         raise ValueError(f"tau_max must lie in 1..{f.horizon - 1}, got {tau_max}")
-    v = f.values
-    out = np.empty(tau_max, dtype=np.float64)
-    for t in range(1, tau_max + 1):
-        out[t - 1] = np.max(np.abs(v[t:] - v[:-t]))
-    return out
+    return _shift_distances(f.values, tau_max)[1:]
 
 
 def bohr_translation_set(f, epsilon: float, tau_max: int, distances: np.ndarray | None = None) -> TranslationReport:
@@ -237,18 +236,20 @@ def besicovitch_profile(u, q: float, window_grid) -> SeminormProfile:
 
 
 def _class_ranges(values: np.ndarray, modulus: int) -> np.ndarray:
-    """Per-residue-class (max - min) for classes n mod modulus.
+    """Per-residue-class (max - min) for classes n mod modulus, componentwise.
 
     The sup of |f(a) - f(b)| over pairs in one class equals the class range,
-    so the modulus reduces to a columnwise min/max after padding the array
-    to a whole number of rows.
+    so the modulus reduces to a min/max over the row axes after padding
+    every axis to a whole number of periods and reshaping to
+    (rows, modulus) per axis.
     """
-    n = values.size
-    rows = -(-n // modulus)
-    pad = rows * modulus - n
-    hi = np.pad(values, (0, pad), constant_values=-np.inf).reshape(rows, modulus)
-    lo = np.pad(values, (0, pad), constant_values=np.inf).reshape(rows, modulus)
-    return hi.max(axis=0) - lo.min(axis=0)
+    rows = [-(-n // modulus) for n in values.shape]
+    pad = [(0, r * modulus - n) for r, n in zip(rows, values.shape)]
+    shape = [x for r in rows for x in (r, modulus)]
+    row_axes = tuple(range(0, 2 * values.ndim, 2))
+    hi = np.pad(values, pad, constant_values=-np.inf).reshape(shape)
+    lo = np.pad(values, pad, constant_values=np.inf).reshape(shape)
+    return hi.max(axis=row_axes) - lo.min(axis=row_axes)
 
 
 def padic_modulus(f, ctx: PadicContext, K: int) -> float:
@@ -260,6 +261,18 @@ def padic_modulus(f, ctx: PadicContext, K: int) -> float:
     return float(np.max(_class_ranges(f.values, modulus)))
 
 
+def _cube(grid_values) -> np.ndarray:
+    """The values of a FieldPath, or an array over the box {0..side}**d."""
+    grid = grid_values.grid() if hasattr(grid_values, "grid") else np.asarray(grid_values, dtype=np.float64)
+    if grid.ndim < 1:
+        raise ValueError("field must have at least one axis")
+    if any(s != grid.shape[0] for s in grid.shape):
+        raise ValueError(f"field grid must be a cube, got shape {grid.shape}")
+    if not np.isfinite(grid).all():
+        raise ValueError("field values must be finite")
+    return grid
+
+
 def padic_modulus_field(grid_values, ctx: PadicContext, K: int) -> float:
     """Field modulus: worst |f(n + p**K m) - f(n)| over in-box pairs.
 
@@ -267,20 +280,11 @@ def padic_modulus_field(grid_values, ctx: PadicContext, K: int) -> float:
     box {0..side}**d.  Residue classes are componentwise mod p**K; each
     class attains its sup at (class max, class min).
     """
-    grid = grid_values.grid() if hasattr(grid_values, "grid") else np.asarray(grid_values, dtype=np.float64)
-    if grid.ndim < 1:
-        raise ValueError("field must have at least one axis")
-    side = grid.shape[0] - 1
-    if any(s != side + 1 for s in grid.shape):
-        raise ValueError(f"field grid must be a cube, got shape {grid.shape}")
+    grid = _cube(grid_values)
     modulus = checked_modulus(ctx.p, K)
-    if modulus > side:
-        raise ValueError(f"p**K = {modulus} exceeds box side {side}")
-    worst = 0.0
-    for residue in itertools.product(range(modulus), repeat=grid.ndim):
-        block = grid[tuple(slice(c, None, modulus) for c in residue)]
-        worst = max(worst, float(block.max() - block.min()))
-    return worst
+    if modulus >= grid.shape[0]:
+        raise ValueError(f"p**K = {modulus} exceeds box side {grid.shape[0] - 1}")
+    return float(np.max(_class_ranges(grid, modulus)))
 
 
 @dataclass(frozen=True)
@@ -300,69 +304,61 @@ class FieldTranslationReport:
     worst_empty_side: int
     covering_side: int
 
-    def to_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "h_max": self.h_max,
-            "dim": self.dim,
-            "accepted": [list(h) for h in self.accepted],
-            "worst_empty_side": self.worst_empty_side,
-            "covering_side": self.covering_side,
-        }
-
 
 def _box_all_occupied(acc: np.ndarray, side: int) -> bool:
     """True iff every box a + {0..side}**d inside the index range has a hit.
 
     Separable windowed sums: along each axis replace counts by sums over
-    sliding windows of length side+1 (c[i+w-1] - c[i-1] on the cumsum).
+    sliding windows of length side+1 (c[i+w] - c[i] on the cumsum with a
+    leading zero).
     """
     window = side + 1
     counts = acc.astype(np.int64)
     for axis in range(acc.ndim):
         if window > counts.shape[axis]:
             raise ValueError(f"window {window} exceeds axis length {counts.shape[axis]}")
-        c = np.cumsum(counts, axis=axis)
-        head = np.take(c, [window - 1], axis=axis)
-        if c.shape[axis] > window:
-            body = np.take(c, np.arange(window, c.shape[axis]), axis=axis) - np.take(
-                c, np.arange(0, c.shape[axis] - window), axis=axis
-            )
-            counts = np.concatenate([head, body], axis=axis)
-        else:
-            counts = head
+        c = np.cumsum(np.moveaxis(counts, axis, 0), axis=0)
+        c = np.concatenate([np.zeros_like(c[:1]), c])
+        counts = np.moveaxis(c[window:] - c[:-window], 0, axis)
     return bool(np.all(counts > 0))
 
 
-def translation_vectors_field(grid_values, epsilon: float, h_max: int, enum_cap: int = 1 << 22) -> FieldTranslationReport:
+def translation_distances_field(grid_values, h_max: int) -> np.ndarray:
+    """max |f(n+h) - f(n)| over in-box pairs for every h in {0..h_max}**d.
+
+    The field counterpart of translate_sup_profile: entry h holds the
+    distance for shift vector h (entry 0 is 0), shared by translation-set
+    queries at many epsilon values.
+    """
+    grid = _cube(grid_values)
+    side = grid.shape[0] - 1
+    if not 0 <= h_max <= side:
+        raise ValueError(f"h_max must lie in 0..{side}, got {h_max}")
+    if (h_max + 1) ** grid.ndim > _ENUM_CAP:
+        raise ValueError(f"enumerating {(h_max + 1) ** grid.ndim} candidate vectors exceeds cap {_ENUM_CAP}")
+    return _shift_distances(grid, h_max)
+
+
+def translation_vectors_field(
+    grid_values, epsilon: float, h_max: int, distances: np.ndarray | None = None
+) -> FieldTranslationReport:
     """Accepted translation vectors of a field and the density of their set.
 
     A vector h in {0..h_max}**d is accepted when
     max |f(n+h) - f(n)| < epsilon over pairs with both points in the box.
     h = 0 is trivially accepted.  The report carries the largest empty box
     side and the smallest covering box side of the accepted set within
-    {0..h_max}**d.
+    {0..h_max}**d.  Pass `distances` from translation_distances_field to
+    amortize over epsilons.
     """
-    grid = grid_values.grid() if hasattr(grid_values, "grid") else np.asarray(grid_values, dtype=np.float64)
-    d = grid.ndim
-    side = grid.shape[0] - 1
-    if any(s != side + 1 for s in grid.shape):
-        raise ValueError(f"field grid must be a cube, got shape {grid.shape}")
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if not 0 <= h_max <= side:
-        raise ValueError(f"h_max must lie in 0..{side}, got {h_max}")
-    if (h_max + 1) ** d > enum_cap:
-        raise ValueError(f"enumerating {(h_max + 1) ** d} candidate vectors exceeds cap {enum_cap}")
-
-    acc = np.zeros((h_max + 1,) * d, dtype=bool)
-    for h in itertools.product(range(h_max + 1), repeat=d):
-        if all(c == 0 for c in h):
-            acc[h] = True
-            continue
-        shifted = grid[tuple(slice(c, None) for c in h)]
-        base = grid[tuple(slice(None, grid.shape[a] - c) for a, c in enumerate(h))]
-        acc[h] = bool(np.max(np.abs(shifted - base)) < epsilon)
+    if distances is None:
+        distances = translation_distances_field(grid_values, h_max)
+    elif distances.ndim != _cube(grid_values).ndim or not 0 <= h_max < min(distances.shape):
+        raise ValueError("precomputed distances cover fewer shift vectors than h_max")
+    d = distances.ndim
+    acc = distances[(slice(0, h_max + 1),) * d] < epsilon
 
     covering = None
     for L in range(h_max + 1):
@@ -395,54 +391,9 @@ def limit_periodic_approx(f, ctx: PadicContext, K: int) -> tuple[SeriesView, flo
     modulus = checked_modulus(ctx.p, K)
     v = f.values
     if modulus >= f.horizon:
-        return SeriesView(values=v.copy(), offset=f.offset), 0.0
+        return SeriesView(values=v.copy()), 0.0
     g = v[np.arange(f.horizon, dtype=np.int64) % modulus]
-    return SeriesView(values=g, offset=f.offset), float(np.max(np.abs(v - g)))
-
-
-def finite_reduction_radius(f, eta: float, radius_grid, h_samples) -> int | None:
-    """Smallest grid radius L with a matching base point for every sampled shift.
-
-    For each h in h_samples we ask for some r <= L with
-    max_m |(f(m+h) - f(h)) - (f(m+r) - f(r))| < eta over in-horizon m.
-    Returns the smallest L in radius_grid accepted for all h, or None when
-    no grid entry works.
-    """
-    f = _as_series(f)
-    if not eta > 0:
-        raise ValueError(f"eta must be positive, got {eta}")
-    grid = sorted(int(L) for L in radius_grid)
-    if not grid:
-        raise ValueError("radius grid must be nonempty")
-    if grid[0] < 0:
-        raise ValueError("radii must be non-negative")
-    hs = [int(h) for h in h_samples]
-    if not hs:
-        raise ValueError("h_samples must be nonempty")
-    if any(h < 0 or h >= f.horizon for h in hs):
-        raise ValueError(f"sampled shifts must lie in 0..{f.horizon - 1}")
-    v = f.values
-    lmax = grid[-1]
-
-    def min_radius_for(h: int) -> int | None:
-        gh = v[h:] - v[h]
-        for r in range(min(lmax, f.horizon - 1) + 1):
-            gr = v[r:] - v[r]
-            m = min(gh.size, gr.size)
-            if np.max(np.abs(gh[:m] - gr[:m])) < eta:
-                return r
-        return None
-
-    needed = 0
-    for h in hs:
-        r = min_radius_for(h)
-        if r is None:
-            return None
-        needed = max(needed, r)
-    for L in grid:
-        if L >= needed:
-            return L
-    return None
+    return SeriesView(values=g), float(np.max(np.abs(v - g)))
 
 
 def sup_norm(f) -> float:

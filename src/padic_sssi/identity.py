@@ -24,7 +24,6 @@ variance of the truncated process.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,9 +84,6 @@ class IdentityTestReport:
             "params": self.params,
             "seed_count": self.seed_count,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def _replica_seeds(spec: TreeSpec, purpose: int, count: int, salt: int) -> np.ndarray:

@@ -135,7 +135,7 @@ def uniform_open(u64: np.ndarray) -> np.ndarray:
 
 def signs(sign_word: np.ndarray) -> np.ndarray:
     """Map the sign word to +-1.0 using its low bit."""
-    return np.where(sign_word & np.uint32(1), 1.0, -1.0)
+    return (sign_word & np.uint64(1)).astype(np.float64) * 2.0 - 1.0
 
 
 def derive_seed(master_seed: int, purpose: int, index) -> np.ndarray:

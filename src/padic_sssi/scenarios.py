@@ -649,10 +649,11 @@ def run_field_demo(cfg: ExperimentConfig, outdir: FsPath) -> tuple[dict, list[st
             moduli[K] = om
             mod_rows.append((seed_index, K, om))
         cover_ok = True
+        h_max = min(side, cfg.tau_max)
+        dist = dg.translation_distances_field(fp, h_max)
         for K in usable_k:
             eps = moduli[K] + 1e-6
-            h_max = min(side, cfg.tau_max)
-            rep = dg.translation_vectors_field(fp, eps, h_max)
+            rep = dg.translation_vectors_field(fp, eps, h_max, distances=dist)
             tr_rows.append(
                 (seed_index, K, eps, len(rep.accepted), rep.worst_empty_side, rep.covering_side)
             )

@@ -157,6 +157,13 @@ def test_analyze_input_errors(tmp_path, capsys):
     ok.write_text("value\n1.0\n2.0\n3.0\n")
     assert run_cli(["analyze", "--input", ok, "--p", 4]) == 2
     assert run_cli(["analyze", "--input", ok, "--q", 0.5]) == 2
+    # every argument is checked before the first output is written
+    for i, bad_args in enumerate(
+        (["--tau", 0], ["--tau", 3], ["--epsilon", -1], ["--epsilon", "nan"], ["--q", "nan"])
+    ):
+        out = tmp_path / f"bad{i}"
+        assert run_cli(["analyze", "--input", ok, "--out", out, *bad_args]) == 2
+        assert not out.exists()
 
 
 def test_version_flag(capsys):

@@ -1,5 +1,7 @@
 """Almost-periodicity estimators on sequences with known-by-hand answers."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -99,7 +101,6 @@ def test_translation_report_json():
     rep = dg.bohr_translation_set(indicator3(60), 0.5, 12)
     d = rep.to_dict()
     assert d["taus"] == [3, 6, 9, 12]
-    assert isinstance(rep.to_json(), str)
 
 
 def test_weyl_profile_spike():
@@ -144,17 +145,6 @@ def test_weyl_q_scaling_constant():
     for q in (1.0, 2.0, 3.5):
         prof = dg.weyl_profile(f, q, [10, 100])
         assert prof.estimates == pytest.approx([3.0, 3.0])
-
-
-def test_profile_csv():
-    import io
-
-    prof = dg.weyl_profile(np.ones(16), 1.0, [2, 4])
-    buf = io.StringIO()
-    prof.write_csv(buf)
-    lines = buf.getvalue().strip().split("\n")
-    assert lines[0] == "L,value"
-    assert len(lines) == 3
 
 
 def test_padic_modulus_indicator():
@@ -240,24 +230,6 @@ def test_limit_periodic_error_equals_half_modulus_bound():
     for K in (0, 2, 4):
         _, err = dg.limit_periodic_approx(f, CTX2, K)
         assert err <= dg.padic_modulus(f, CTX2, K) + 1e-12
-
-
-def test_finite_reduction_radius_examples():
-    grid = [0, 1, 2, 4, 8, 16]
-    const = np.full(64, 2.5)
-    assert dg.finite_reduction_radius(const, 1e-9, grid, [0, 5, 9]) == 0
-    # exactly stationary increments: any base point matches at r = 0
-    linear = np.arange(64.0)
-    assert dg.finite_reduction_radius(linear, 1e-9, grid, [1, 7, 30]) == 0
-    # 4-periodic: shift h needs base r = h mod 4, so radius reaches 4
-    periodic = np.tile(np.array([0.0, 1.0, 0.0, -1.0]), 16)
-    assert dg.finite_reduction_radius(periodic, 1e-9, grid, [3, 6]) == 4
-    assert dg.finite_reduction_radius(periodic, 1e-9, grid, [4, 8]) == 0
-    # any shift within the grid can fall back on r = h itself
-    growing = np.exp(np.arange(32.0))
-    assert dg.finite_reduction_radius(growing, 1e-3, grid, [5]) == 8
-    # a shift beyond every grid radius has no match for a growing series
-    assert dg.finite_reduction_radius(growing, 1e-3, grid, [20]) is None
 
 
 def test_running_max_example():
@@ -349,3 +321,107 @@ def test_bohr_gap_bounded_by_accepted_spacing(xs):
         assert rep.max_gap == expected
     else:
         assert rep.max_gap == tau_max + 1
+
+
+# -- the shift-distance and class-range kernels against brute force ----------
+
+
+def _box_points(grid):
+    return np.array(list(itertools.product(*(range(n) for n in grid.shape))), dtype=np.int64).reshape(-1, grid.ndim)
+
+
+def brute_shift_distance(grid, h):
+    """max |f(n+h) - f(n)| over every point n of the box with n+h in it."""
+    pts = _box_points(grid)
+    base = pts[np.all(pts + np.asarray(h) < grid.shape[0], axis=1)]
+    return float(np.max(np.abs(grid[tuple((base + h).T)] - grid[tuple(base.T)])))
+
+
+def brute_modulus(grid, modulus):
+    """max |f(a) - f(b)| over every pair of box points with a = b mod modulus."""
+    pts = _box_points(grid)
+    vals = grid[tuple(pts.T)]
+    same = np.all((pts[:, None, :] - pts[None, :, :]) % modulus == 0, axis=2)
+    return float(np.max(np.abs(vals[:, None] - vals[None, :])[same]))
+
+
+def brute_covering_side(acc):
+    """Smallest L with an accepted vector in every box a + {0..L}**d of the range."""
+    n = acc.shape[0]
+    for L in range(n):
+        corners = itertools.product(range(n - L), repeat=acc.ndim)
+        if all(acc[tuple(slice(c, c + L + 1) for c in a)].any() for a in corners):
+            return L
+    return n
+
+
+@st.composite
+def cubes(draw):
+    d = draw(st.integers(1, 3))
+    side = draw(st.integers(1, (12, 6, 4)[d - 1]))
+    values = draw(
+        st.lists(
+            st.floats(min_value=-1e3, max_value=1e3, allow_nan=False) | st.sampled_from([0.0, 1.0]),
+            min_size=(side + 1) ** d,
+            max_size=(side + 1) ** d,
+        )
+    )
+    return np.array(values, dtype=np.float64).reshape((side + 1,) * d)
+
+
+@given(cubes(), st.sampled_from([CTX2, CTX3]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_field_kernels_match_brute_force(grid, ctx, data):
+    side = grid.shape[0] - 1
+    h_max = data.draw(st.integers(0, side), label="h_max")
+    dist = dg.translation_distances_field(grid, h_max)
+    assert dist.shape == (h_max + 1,) * grid.ndim
+    for h in itertools.product(range(h_max + 1), repeat=grid.ndim):
+        assert dist[h] == brute_shift_distance(grid, h)
+
+    positive = sorted({float(x) for x in dist.flat if x > 0})
+    eps = data.draw(st.sampled_from(positive) if positive else st.just(1.0), label="epsilon")
+    rep = dg.translation_vectors_field(grid, eps, h_max)
+    acc = dist < eps  # strict: a distance equal to epsilon is rejected
+    assert rep.accepted == tuple(tuple(int(c) for c in h) for h in np.argwhere(acc))
+    assert rep.covering_side == brute_covering_side(acc)
+    assert rep.dim == grid.ndim and rep.h_max == h_max
+    # distances over a wider shift range serve every narrower h_max
+    wide = dg.translation_distances_field(grid, side)
+    assert dg.translation_vectors_field(grid, eps, h_max, distances=wide) == rep
+    if h_max > 0:
+        with pytest.raises(ValueError, match="fewer shift vectors"):
+            dg.translation_vectors_field(grid, eps, h_max, distances=dist[(slice(0, h_max),) * grid.ndim])
+
+    K = 0
+    while ctx.p**K <= side:
+        assert dg.padic_modulus_field(grid, ctx, K) == brute_modulus(grid, ctx.p**K)
+        K += 1
+    with pytest.raises(ValueError):
+        dg.padic_modulus_field(grid, ctx, K)
+
+    if grid.ndim == 1:
+        # the field kernels at d = 1 are the path kernels, bit for bit
+        for t in range(1, side + 1):
+            assert np.array_equal(dg.translation_distances_field(grid, t)[1:], dg.translate_sup_profile(grid, t))
+        for k in range(K):
+            assert dg.padic_modulus_field(grid, ctx, k) == dg.padic_modulus(grid, ctx, k)
+
+
+def test_field_distances_validation():
+    cube = np.zeros((5, 5))
+    with pytest.raises(ValueError, match="cube"):
+        dg.translation_distances_field(np.zeros((5, 4)), 2)
+    with pytest.raises(ValueError, match="h_max"):
+        dg.translation_distances_field(cube, 5)
+    with pytest.raises(ValueError, match="exceeds cap"):
+        dg.translation_distances_field(np.broadcast_to(0.0, (2049, 2049)), 2048)
+    with pytest.raises(ValueError, match="fewer shift vectors"):
+        dg.translation_vectors_field(cube, 0.5, 2, distances=np.zeros(3))
+    for bad in (np.nan, np.inf, -np.inf):
+        hole = cube.copy()
+        hole[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            dg.translation_distances_field(hole, 2)
+        with pytest.raises(ValueError, match="finite"):
+            dg.padic_modulus_field(hole, CTX2, 1)

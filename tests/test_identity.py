@@ -1,6 +1,5 @@
 """Distributional identity tests and their analytic ingredients."""
 
-import json
 import math
 
 import numpy as np
@@ -200,7 +199,7 @@ def test_scaling_identity_json_and_repetition():
     r0 = identity.scaling_identity_test(spec, 2, 3, 1500, repetition=0)
     r1 = identity.scaling_identity_test(spec, 2, 3, 1500, repetition=1)
     assert r0.statistic != r1.statistic  # fresh replica seeds
-    payload = json.loads(r0.to_json())
+    payload = r0.to_dict()
     assert payload["identity"] == "scaling"
     assert payload["passed"] is True
 

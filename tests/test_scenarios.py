@@ -133,14 +133,28 @@ def test_scenario_determinism(tmp_path):
     assert (out_a / "identities.csv").read_bytes() == (out_b / "identities.csv").read_bytes()
 
 
-def test_threads_do_not_change_results(tmp_path, monkeypatch):
-    out_a, out_b = tmp_path / "ser", tmp_path / "par"
-    cfg_a = small_config("equivalence", out_a, replicates=3, kmax=8, horizon=1024, tau_max=64, threads=0)
-    cfg_b = small_config("equivalence", out_b, replicates=3, kmax=8, horizon=1024, tau_max=64, threads=4)
-    assert scenarios.run_scenario(cfg_a)[0] == 0
-    assert scenarios.run_scenario(cfg_b)[0] == 0
-    for name in ("modulus_curves.csv", "limit_periodic.csv", "bohr_gaps.csv"):
-        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+THREAD_CONFIGS = {
+    "hierarchy-demo": {"horizon": 512, "tau_max": 40, "k_list": list(range(9))},
+    "equivalence": {"replicates": 3, "kmax": 8, "horizon": 1024, "tau_max": 64},
+    "theorem-5-2": {"replicates": 2, "kmax": 8, "horizon": 1024, "k_list": [0, 2, 4]},
+    "identity-suite": {"mc_seeds": 600},
+    "field-demo": {"replicates": 3, "horizon": 32, "tau_max": 12, "k_list": list(range(5))},
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(THREAD_CONFIGS))
+def test_threads_do_not_change_results(tmp_path, scenario):
+    outputs = []
+    for threads in (0, 1, 2):
+        out = tmp_path / f"threads{threads}"
+        cfg = small_config(scenario, out, threads=threads, **THREAD_CONFIGS[scenario])
+        assert scenarios.run_scenario(cfg)[0] == 0
+        csvs = {p.name: p.read_bytes() for p in out.glob("*.csv")}
+        results = json.loads((out / "summary.json").read_text())["results"]
+        outputs.append((csvs, json.dumps(results, sort_keys=True)))
+    assert outputs[0][0], "scenario wrote no CSV"
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
 
 
 def test_effective_threads_env_cap(monkeypatch):
