@@ -78,7 +78,7 @@ def _cmd_run(args) -> int:
     overrides = {"scenario": args.scenario, "seed": args.seed, "out_dir": args.out}
     cfg = scenarios.load_config(args.config, overrides)
     code, payload = scenarios.run_scenario(cfg, check=args.check)
-    print(f"[{cfg.scenario}] wrote {cfg.out_dir}/summary.json")
+    print(f"[{cfg.scenario}] wrote {FsPath(cfg.out_dir) / 'summary.json'}")
     for failure in payload["check_failures"]:
         print(f"[{cfg.scenario}] check failed: {failure}", file=sys.stderr)
     if args.check and not payload["check_failures"]:
@@ -161,8 +161,8 @@ def _cmd_analyze(args) -> int:
         ctx = PadicContext(args.p)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if not args.q >= 1.0:
-        raise ConfigError(f"q must be >= 1, got {args.q}")
+    if not 1.0 <= args.q < math.inf:
+        raise ConfigError(f"q must be a finite number >= 1, got {args.q}")
     horizon = values.size
     tau_max = min(args.tau_max, horizon - 1)
     if tau_max < 1:
@@ -171,8 +171,8 @@ def _cmd_analyze(args) -> int:
         raise ConfigError(f"tau must lie in 1..{horizon - 1}, got {args.tau}")
     epsilons = args.epsilon or [0.5]
     for eps in epsilons:
-        if not eps > 0:
-            raise ConfigError(f"epsilon must be positive, got {eps}")
+        if not 0 < eps < math.inf:
+            raise ConfigError(f"epsilon must be a positive finite number, got {eps}")
     f = dg.SeriesView(values)
     outdir = FsPath(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -220,7 +220,7 @@ def _cmd_analyze(args) -> int:
         "besicovitch_headline": bp.headline,
     }
     with open(outdir / "analysis.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     print(f"[analyze] {horizon} values from {args.input}; wrote {outdir}/analysis.json")
     return EXIT_OK

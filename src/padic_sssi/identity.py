@@ -16,10 +16,9 @@ truncates the right side to Kmax - K for an exact finite-truncation
 identity; "unmatched" mode keeps the full right side and measures the
 truncation-induced gap instead.
 
-Deterministic closed forms live here too: the per-level q-averages of
-translate differences and their level-mean bound (the chain that makes
-every tau in p**K N a Weyl translation number), and the exact Gaussian
-variance of the truncated process.
+Deterministic closed forms live here too: the per-level q-means B_{k,q}
+and the Weyl tail bound they give for every translate tau in p**K N, and
+the exact Gaussian variance of the truncated process.
 """
 
 from __future__ import annotations
@@ -247,21 +246,6 @@ def projection_probe_test(
 
 # ---------------------------------------------------------------------------
 # deterministic level statistics
-
-
-def period_average_A(levels: TreeLevels, k: int, q: float, tau: int) -> float:
-    """(p**-(k+1) sum_r |xi_{k, r+tau} - xi_{k, r}|**q)**(1/q), cyclic in r."""
-    spec = levels.spec
-    if spec.dim != 1:
-        raise ValueError("period_average_A requires dim=1")
-    if not q >= 1:
-        raise ValueError(f"q must be at least 1, got {q}")
-    if tau < 0:
-        raise ValueError(f"tau must be non-negative, got {tau}")
-    arr = levels.arrays[k]
-    m = spec.level_modulus(k)
-    diff = np.abs(np.roll(arr, -(tau % m)) - arr) ** q
-    return float(np.mean(diff) ** (1.0 / q))
 
 
 def level_average_B(levels: TreeLevels, k: int, q: float) -> float:

@@ -129,6 +129,13 @@ def law_to_dict(law: IncrementLaw) -> dict:
     raise TypeError(f"unknown increment law {law!r}")
 
 
+def _parameter(obj: dict, name: str) -> float:
+    try:
+        return float(obj[name])
+    except (TypeError, ValueError):
+        raise ValueError(f"law parameter {name!r} must be a number, got {obj[name]!r}") from None
+
+
 def law_from_dict(obj: dict) -> IncrementLaw:
     if not isinstance(obj, dict) or "variant" not in obj:
         raise ValueError(f"law description must be an object with a 'variant' key, got {obj!r}")
@@ -136,11 +143,11 @@ def law_from_dict(obj: dict) -> IncrementLaw:
     if variant == "pareto":
         if "alpha" not in obj:
             raise ValueError("pareto law requires 'alpha'")
-        return SymmetricPareto(alpha=float(obj["alpha"]))
+        return SymmetricPareto(alpha=_parameter(obj, "alpha"))
     if variant == "gaussian":
         if "sigma" not in obj:
             raise ValueError("gaussian law requires 'sigma'")
-        return Gaussian(sigma=float(obj["sigma"]))
+        return Gaussian(sigma=_parameter(obj, "sigma"))
     if variant == "rademacher":
         return Rademacher()
     raise ValueError(f"unknown law variant {variant!r}")

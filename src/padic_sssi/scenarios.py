@@ -16,17 +16,19 @@ Each scenario maps one facet of the theory onto concrete tables:
 * field-demo: the two-dimensional field analogues of modulus decay and
   translation-vector density.
 
-Every run resolves its configuration (base defaults, then scenario
-defaults, then user values), embeds the resolved config and package
-version in summary.json, and emits fixed-schema CSV tables.  Identical
-configs produce byte-identical outputs; replicate work is fanned out to a
-thread pool whose results are consumed in submission order.
+Each scenario has one table of the config keys its runner reads, with
+their defaults (DEFAULTS); a config naming any other key is refused.
+Every run embeds the resolved config and package version in summary.json
+and emits fixed-schema CSV tables.  Identical configs produce
+byte-identical outputs; replicate work is fanned out to a thread pool
+whose results are consumed in submission order.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -39,209 +41,202 @@ from .errors import ConfigError
 from .padic import PadicContext
 from .tree import TreeSpec
 
-SCENARIOS = ("hierarchy-demo", "equivalence", "theorem-5-2", "identity-suite", "field-demo")
-
 _PURPOSE_REPLICA = 21  # seed-derivation purpose for scenario replicate seeds
 
-_BASE_DEFAULTS: dict = {
-    "scenario": None,
-    "p": 2,
-    "hurst": 0.7,
-    "kmax": 12,
-    "law": {"variant": "gaussian", "sigma": 1.0},
-    "seed": 20260816,
-    "dim": 1,
-    "horizon": 1 << 14,
-    "epsilons": [0.5],
-    "q": 1.0,
-    "k_list": [0, 1, 2, 3, 4, 5, 6, 7, 8],
-    "window_grid": None,
-    "tau_max": 64,
-    "replicates": 20,
-    "mc_seeds": 10000,
-    "repetitions": 1,
-    "alpha_compare": 1.25,
-    "out_dir": "out",
-    "formats": ["csv", "json"],
-    "threads": 0,
-}
+_GAUSSIAN = {"variant": "gaussian", "sigma": 1.0}
+_SEED = 20260816
 
-_SCENARIO_DEFAULTS: dict[str, dict] = {
-    "hierarchy-demo": {"horizon": 8192, "k_list": list(range(0, 13)), "tau_max": 48},
+# Per scenario, every config key its runner reads, with its default.  The
+# run-level keys out_dir and threads are accepted everywhere; by the
+# determinism contract they never change the results.
+DEFAULTS: dict[str, dict] = {
+    "hierarchy-demo": {
+        "p": 2, "horizon": 8192, "k_list": list(range(13)), "tau_max": 48,
+        "epsilons": [0.5], "window_grid": None, "q": 1.0,
+        "out_dir": "out", "threads": 0,
+    },
     "equivalence": {
-        "kmax": 16,
-        "horizon": 1 << 16,
-        "k_list": list(range(0, 11)),
-        "tau_max": 1024,
+        "p": 2, "hurst": 0.7, "kmax": 16, "law": _GAUSSIAN, "seed": _SEED,
+        "horizon": 1 << 16, "k_list": list(range(11)), "tau_max": 1024,
+        "replicates": 20, "alpha_compare": 1.25,
+        "out_dir": "out", "threads": 0,
     },
     "theorem-5-2": {
-        "law": {"variant": "pareto", "alpha": 0.75},
-        "hurst": 1.0,
-        "q": 1.0,
-        "kmax": 20,
-        "horizon": 1 << 18,
-        "k_list": list(range(0, 9)),
+        "p": 2, "hurst": 1.0, "kmax": 20, "law": {"variant": "pareto", "alpha": 0.75}, "seed": _SEED,
+        "horizon": 1 << 18, "k_list": list(range(9)), "window_grid": None, "q": 1.0,
+        "replicates": 20,
+        "out_dir": "out", "threads": 0,
     },
-    "identity-suite": {"kmax": 10, "mc_seeds": 10000},
+    "identity-suite": {
+        "p": 2, "hurst": 0.7, "kmax": 10, "law": _GAUSSIAN, "seed": _SEED,
+        "mc_seeds": 10000, "repetitions": 1,
+        "out_dir": "out", "threads": 0,
+    },
     "field-demo": {
-        "dim": 2,
-        "kmax": 4,
-        "horizon": 64,
-        "k_list": list(range(0, 6)),
-        "replicates": 5,
-        "tau_max": 32,
+        "p": 2, "hurst": 0.7, "kmax": 4, "law": _GAUSSIAN, "seed": _SEED, "dim": 2,
+        "horizon": 64, "k_list": list(range(6)), "tau_max": 32, "replicates": 5,
+        "out_dir": "out", "threads": 0,
     },
 }
+SCENARIOS = tuple(DEFAULTS)
 
 # fallback proxy for theorem-5-2 when the configured tail exponent fails the
 # integrability gate: alpha inside the (H, q) window with E|xi| finite
 _T52_PROXY = {"alpha": 1.25, "hurst": 0.7, "q": 1.0}
 
 
+def _int(minimum: int):
+    def check(key, v):
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise ConfigError(f"{key} must be an integer, got {v!r}")
+        if v < minimum:
+            raise ConfigError(f"{key} must be at least {minimum}, got {v}")
+        return v
+    return check
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _real(minimum: float, strict: bool = False):
+    def check(key, v):
+        if not _is_real(v):
+            raise ConfigError(f"{key} must be a finite number, got {v!r}")
+        if v <= minimum if strict else v < minimum:
+            raise ConfigError(f"{key} must be {'>' if strict else '>='} {minimum}, got {v}")
+        return float(v)
+    return check
+
+
+def _list(item, convert, what: str, optional: bool = False):
+    def check(key, v):
+        if optional and v is None:
+            return None
+        if not isinstance(v, (list, tuple)) or not v or not all(item(x) for x in v):
+            raise ConfigError(f"{key} must be a nonempty list of {what}, got {v!r}")
+        return tuple(convert(x) for x in v)
+    return check
+
+
+def _law(key, v):
+    try:
+        return laws.law_from_dict(v)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+
+
+def _tree_alpha(key, v):
+    v = _real(-math.inf)(key, v)
+    issue = laws.validate_law(laws.SymmetricPareto(v), for_tree=True)
+    if issue is not None:
+        raise ConfigError(f"{key}={v}: {issue.reason}")
+    return v
+
+
+def _is_index(v, minimum: int) -> bool:
+    return isinstance(v, int) and v >= minimum
+
+
+_CHECKS = {
+    "p": _int(2),
+    "hurst": _real(0.0, strict=True),
+    "kmax": _int(0),
+    "law": _law,
+    "seed": _int(0),
+    "dim": _int(2),
+    "horizon": _int(2),
+    "epsilons": _list(lambda e: _is_real(e) and e > 0, float, "positive finite numbers"),
+    "q": _real(1.0),
+    "k_list": _list(lambda k: _is_index(k, 0), int, "non-negative integers"),
+    "window_grid": _list(lambda w: _is_index(w, 1), int, "positive integers", optional=True),
+    "tau_max": _int(1),
+    "replicates": _int(1),
+    "mc_seeds": _int(2),
+    "repetitions": _int(1),
+    "alpha_compare": _tree_alpha,
+    "out_dir": lambda key, v: str(v),
+    "threads": _int(0),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Resolved, validated experiment configuration (flat schema)."""
+    """A resolved, validated config: the scenario and exactly the keys it reads.
+
+    Each key reads as an attribute (cfg.p, cfg.law, ...); law is an
+    IncrementLaw and list-valued keys are tuples.
+    """
 
     scenario: str
-    p: int
-    hurst: float
-    kmax: int
-    law: laws.IncrementLaw
-    seed: int
-    dim: int
-    horizon: int
-    epsilons: tuple[float, ...]
-    q: float
-    k_list: tuple[int, ...]
-    window_grid: tuple[int, ...] | None
-    tau_max: int
-    replicates: int
-    mc_seeds: int
-    repetitions: int
-    alpha_compare: float
-    out_dir: str
-    formats: tuple[str, ...]
-    threads: int
+    params: dict
+
+    def __post_init__(self) -> None:
+        for key, v in self.params.items():
+            object.__setattr__(self, key, v)
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["law"] = laws.law_to_dict(self.law)
-        d["epsilons"] = list(self.epsilons)
-        d["k_list"] = list(self.k_list)
-        d["window_grid"] = list(self.window_grid) if self.window_grid is not None else None
-        d["formats"] = list(self.formats)
+        d = {"scenario": self.scenario}
+        for key, v in self.params.items():
+            d[key] = laws.law_to_dict(v) if key == "law" else list(v) if isinstance(v, tuple) else v
         return d
 
     def tree_spec(self, seed: int | None = None) -> TreeSpec:
+        """The scenario's process; one-dimensional unless the scenario reads dim."""
         return TreeSpec(
             p=self.p,
             hurst=self.hurst,
             kmax=self.kmax,
             law=self.law,
             seed=self.seed if seed is None else int(seed),
-            dim=self.dim,
+            dim=self.params.get("dim", 1),
         )
 
 
 def resolve_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
-    """Merge base defaults, scenario defaults, file values, and CLI overrides.
+    """The scenario's defaults, then the file's values, then CLI overrides.
 
-    Later layers win.  Unknown keys and malformed values raise ConfigError
-    naming the offending parameter.
+    Only the keys in DEFAULTS[scenario] are accepted.  Any other key, a
+    malformed value or an inconsistent combination raises ConfigError
+    naming the key, before any output exists.
     """
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     merged = dict(raw)
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            merged[key] = value
-    scenario = merged.get("scenario")
-    if scenario not in SCENARIOS:
+    merged.update((key, v) for key, v in (overrides or {}).items() if v is not None)
+    scenario = merged.pop("scenario", None)
+    if scenario not in DEFAULTS:
         raise ConfigError(f"scenario must be one of {', '.join(SCENARIOS)}; got {scenario!r}")
-    resolved = dict(_BASE_DEFAULTS)
-    resolved.update(_SCENARIO_DEFAULTS.get(scenario, {}))
-    unknown = set(merged) - set(_BASE_DEFAULTS)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    resolved.update(merged)
-
+    defaults = DEFAULTS[scenario]
+    unread = sorted(set(merged) - set(defaults))
+    if unread:
+        raise ConfigError(
+            f"unknown config keys for scenario {scenario}: {', '.join(unread)} (it reads {', '.join(defaults)})"
+        )
+    cfg = ExperimentConfig(scenario, {key: _CHECKS[key](key, merged.get(key, d)) for key, d in defaults.items()})
+    # the process must be simulable before any work starts: primality, law
+    # integrability, index-domain bounds
     try:
-        law = laws.law_from_dict(resolved["law"])
-    except ValueError as exc:
-        raise ConfigError(f"law: {exc}") from None
-
-    def _int(key, minimum=None):
-        v = resolved[key]
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise ConfigError(f"{key} must be an integer, got {v!r}")
-        if minimum is not None and v < minimum:
-            raise ConfigError(f"{key} must be at least {minimum}, got {v}")
-        return v
-
-    def _real(key, minimum=None, strict=False):
-        v = resolved[key]
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise ConfigError(f"{key} must be a number, got {v!r}")
-        v = float(v)
-        if minimum is not None and (v <= minimum if strict else v < minimum):
-            raise ConfigError(f"{key} must be {'>' if strict else '>='} {minimum}, got {v}")
-        return v
-
-    epsilons = resolved["epsilons"]
-    if not isinstance(epsilons, (list, tuple)) or not epsilons or any(
-        not isinstance(e, (int, float)) or e <= 0 for e in epsilons
-    ):
-        raise ConfigError(f"epsilons must be a nonempty list of positive numbers, got {epsilons!r}")
-    k_list = resolved["k_list"]
-    if not isinstance(k_list, (list, tuple)) or not k_list or any(
-        not isinstance(k, int) or k < 0 for k in k_list
-    ):
-        raise ConfigError(f"k_list must be a nonempty list of non-negative integers, got {k_list!r}")
-    window_grid = resolved["window_grid"]
-    if window_grid is not None:
-        if not isinstance(window_grid, (list, tuple)) or any(not isinstance(w, int) or w < 1 for w in window_grid):
-            raise ConfigError(f"window_grid must be a list of positive integers, got {window_grid!r}")
-        window_grid = tuple(window_grid)
-    formats = resolved["formats"]
-    if not isinstance(formats, (list, tuple)) or any(f not in ("csv", "json", "binary") for f in formats):
-        raise ConfigError(f"formats must be a list drawn from csv/json/binary, got {formats!r}")
-
-    cfg = ExperimentConfig(
-        scenario=scenario,
-        p=_int("p", 2),
-        hurst=_real("hurst", 0.0, strict=True),
-        kmax=_int("kmax", 0),
-        law=law,
-        seed=_int("seed", 0),
-        dim=_int("dim", 1),
-        horizon=_int("horizon", 2),
-        epsilons=tuple(float(e) for e in epsilons),
-        q=_real("q", 1.0),
-        k_list=tuple(int(k) for k in k_list),
-        window_grid=window_grid,
-        tau_max=_int("tau_max", 1),
-        replicates=_int("replicates", 1),
-        mc_seeds=_int("mc_seeds", 2),
-        repetitions=_int("repetitions", 1),
-        alpha_compare=_real("alpha_compare", 1.0, strict=True),
-        out_dir=str(resolved["out_dir"]),
-        formats=tuple(formats),
-        threads=_int("threads", 0),
-    )
-    # spec-level validation before any simulation starts: primality, law
-    # integrability, index-domain bounds -- except theorem-5-2, which is
-    # allowed a non-integrable law so it can demonstrate the gate + proxy.
-    try:
-        if scenario == "theorem-5-2":
+        if scenario == "hierarchy-demo":
+            PadicContext(cfg.p)
+        elif scenario == "theorem-5-2":
+            # a non-integrable pareto law is allowed here: the runner reports
+            # the gate and simulates the proxy law instead
+            if not isinstance(cfg.law, laws.SymmetricPareto):
+                raise ConfigError(f"theorem-5-2 requires a pareto law, got {laws.law_to_dict(cfg.law)}")
             issue = laws.validate_law(cfg.law, for_tree=False)
             if issue is not None:
                 raise ConfigError(f"law.{issue.parameter}={issue.value}: {issue.reason}")
-            PadicContext(cfg.p)
+            TreeSpec(cfg.p, cfg.hurst, cfg.kmax, laws.SymmetricPareto(_T52_PROXY["alpha"]), cfg.seed)
+            if cfg.p ** 8 >= cfg.horizon:
+                raise ConfigError(
+                    f"horizon={cfg.horizon} must exceed p**8: theorem-5-2 compares omega(0) with omega(8)"
+                )
         else:
             cfg.tree_spec()
     except (ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from None
-    if cfg.tau_max >= cfg.horizon:
+    if "tau_max" in cfg.params and cfg.tau_max >= cfg.horizon:
         raise ConfigError(f"tau_max={cfg.tau_max} must be below horizon={cfg.horizon}")
     return cfg
 
@@ -262,18 +257,15 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
 
 
 def effective_threads(requested: int) -> int:
-    """Worker count: requested (0 = serial), capped by PADIC_SSSI_THREADS."""
+    """Worker count: requested (0 = serial), capped by PADIC_SSSI_THREADS and the CPU count."""
+    n = max(1, requested)
     cap = os.environ.get("PADIC_SSSI_THREADS")
-    limit = None
     if cap is not None:
         try:
-            limit = max(1, int(cap))
+            n = min(n, max(1, int(cap)))
         except ValueError:
-            limit = None
-    n = requested if requested >= 1 else 1
-    if limit is not None:
-        n = min(n, limit)
-    return n
+            raise ConfigError(f"PADIC_SSSI_THREADS must be an integer, got {cap!r}") from None
+    return min(n, os.cpu_count() or 1)
 
 
 def _map_ordered(fn, items, threads: int):
@@ -451,8 +443,6 @@ def run_equivalence(cfg: ExperimentConfig, outdir: FsPath) -> tuple[dict, list[s
 
 
 def run_theorem_5_2(cfg: ExperimentConfig, outdir: FsPath) -> tuple[dict, list[str]]:
-    if not isinstance(cfg.law, laws.SymmetricPareto):
-        raise ConfigError("theorem-5-2 requires a pareto law")
     requested = {"alpha": cfg.law.alpha, "hurst": cfg.hurst, "q": cfg.q}
     window = laws.pareto_alpha_window(cfg.hurst, cfg.q)
     in_window = window[0] < cfg.law.alpha < window[1]
@@ -631,16 +621,13 @@ def run_identity_suite(cfg: ExperimentConfig, outdir: FsPath) -> tuple[dict, lis
 
 
 def run_field_demo(cfg: ExperimentConfig, outdir: FsPath) -> tuple[dict, list[str]]:
-    if cfg.dim < 2:
-        raise ConfigError("field-demo requires dim >= 2")
     ctx = PadicContext(cfg.p)
     side = cfg.horizon - 1
     seeds = _replica_seeds(cfg, cfg.replicates)
     usable_k = [K for K in cfg.k_list if cfg.p ** K <= side]
 
     def one(seed_index: int):
-        spec = TreeSpec(p=cfg.p, hurst=cfg.hurst, kmax=cfg.kmax, law=cfg.law, seed=int(seeds[seed_index]), dim=cfg.dim)
-        levels = tree.build_levels(spec)
+        levels = tree.build_levels(cfg.tree_spec(seeds[seed_index]))
         fp = tree.field(levels, side)
         mod_rows, tr_rows = [], []
         moduli = {}
@@ -707,9 +694,11 @@ _RUNNERS = {
 def run_scenario(cfg: ExperimentConfig, check: bool = False) -> tuple[int, dict]:
     """Execute a resolved config; returns (exit_code, summary).
 
-    Exit codes: 0 success, 3 resource cap, 4 failed checks in check mode
-    (config errors raise ConfigError upstream and map to 2 in the CLI).
+    Exit codes: 0 success, 3 resource cap, 4 failed checks in check mode.
+    Config errors, a malformed PADIC_SSSI_THREADS included, raise
+    ConfigError before any output exists and map to 2 in the CLI.
     """
+    effective_threads(cfg.threads)  # refuse a malformed PADIC_SSSI_THREADS first
     outdir = FsPath(cfg.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     summary, failures = _RUNNERS[cfg.scenario](cfg, outdir)
@@ -721,10 +710,9 @@ def run_scenario(cfg: ExperimentConfig, check: bool = False) -> tuple[int, dict]
         "check_mode": bool(check),
         "check_failures": failures,
     }
-    if "json" in cfg.formats:
-        with open(outdir / "summary.json", "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    with open(outdir / "summary.json", "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")
     if check and failures:
         return 4, payload
     return 0, payload

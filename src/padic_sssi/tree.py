@@ -84,9 +84,6 @@ class TreeSpec:
     def level_entry_count(self, k: int) -> int:
         return self.level_modulus(k) ** self.dim
 
-    def total_entry_count(self) -> int:
-        return sum(self.level_entry_count(k) for k in range(self.kmax + 1))
-
     def weight(self, k: int) -> float:
         """Level weight p**(-k*H)."""
         return float(self.p) ** (-k * self.hurst)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from padic_sssi import cli, tree
+from padic_sssi import cli, scenarios, tree
 
 
 def run_cli(argv):
@@ -68,6 +68,51 @@ def test_run_config_errors(tmp_path, capsys):
     bad = write_config(tmp_path, {"scenario": "equivalence", "p": 15}, name="bad.json")
     assert run_cli(["run", "--config", bad]) == 2
     assert "p must be prime" in capsys.readouterr().err
+
+
+TINY_DEMO = {"scenario": "hierarchy-demo", "horizon": 64, "tau_max": 16, "k_list": [0, 1, 2]}
+
+
+@pytest.mark.parametrize(
+    "payload, named",
+    [
+        ({"scenario": "identity-suite", "dim": 2}, ("dim", "identity-suite")),
+        ({"scenario": "equivalence", "dim": 2}, ("dim", "equivalence")),
+        ({**TINY_DEMO, "hurst": 0.5}, ("hurst", "hierarchy-demo")),
+        ({**TINY_DEMO, "seed": 1}, ("seed", "hierarchy-demo")),
+        ({**TINY_DEMO, "law": {"variant": "rademacher"}}, ("law", "hierarchy-demo")),
+        *(({"scenario": s, "formats": ["binary"]}, ("formats", s)) for s in scenarios.SCENARIOS),
+        ({**TINY_DEMO, "q": float("nan")}, ("q",)),
+        ({"scenario": "equivalence", "hurst": float("inf")}, ("hurst",)),
+        ({**TINY_DEMO, "epsilons": [float("inf")]}, ("epsilons",)),
+        ({"scenario": "equivalence", "alpha_compare": float("inf")}, ("alpha_compare",)),
+    ],
+)
+def test_run_refuses_bad_keys_before_output(tmp_path, capsys, payload, named):
+    out = tmp_path / "out"
+    # json.dumps writes the NaN and Infinity tokens that json.load accepts
+    cfg = write_config(tmp_path, {**payload, "out_dir": str(out)})
+    assert run_cli(["run", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert all(word in err for word in named), err
+    assert not out.exists()
+
+
+def test_run_seed_flag_refused_where_unread(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, TINY_DEMO)
+    assert run_cli(["run", "--config", cfg, "--out", out, "--seed", 5]) == 2
+    assert "hierarchy-demo: seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_refuses_malformed_thread_cap(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("PADIC_SSSI_THREADS", "abc")
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {**TINY_DEMO, "out_dir": str(out)})
+    assert run_cli(["run", "--config", cfg]) == 2
+    assert "PADIC_SSSI_THREADS" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_path_csv_and_binary(tmp_path, capsys):
@@ -159,7 +204,15 @@ def test_analyze_input_errors(tmp_path, capsys):
     assert run_cli(["analyze", "--input", ok, "--q", 0.5]) == 2
     # every argument is checked before the first output is written
     for i, bad_args in enumerate(
-        (["--tau", 0], ["--tau", 3], ["--epsilon", -1], ["--epsilon", "nan"], ["--q", "nan"])
+        (
+            ["--tau", 0],
+            ["--tau", 3],
+            ["--epsilon", -1],
+            ["--epsilon", "nan"],
+            ["--q", "nan"],
+            ["--epsilon", "inf"],
+            ["--q", "inf"],
+        )
     ):
         out = tmp_path / f"bad{i}"
         assert run_cli(["analyze", "--input", ok, "--out", out, *bad_args]) == 2

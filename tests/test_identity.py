@@ -69,32 +69,6 @@ def test_ks_statistic_matches_bruteforce(xs, ys):
 # -- level averages and Weyl tail bound --------------------------------------
 
 
-def test_period_average_zero_at_full_period():
-    levels = tree.build_levels(make_spec(kmax=4))
-    for k in range(5):
-        m = levels.spec.level_modulus(k)
-        assert identity.period_average_A(levels, k, 1.0, m) == 0.0
-        assert identity.period_average_A(levels, k, 2.0, 3 * m) == 0.0
-
-
-def test_period_average_rademacher_level0():
-    # p = 2, level 0 holds two signs; tau = 1 compares them both ways
-    seen = set()
-    for seed in range(30):
-        levels = tree.build_levels(make_spec(kmax=0, law=Rademacher(), seed=seed))
-        seen.add(identity.period_average_A(levels, 0, 1.0, 1))
-    assert seen == {0.0, 2.0}
-
-
-def test_period_average_at_most_twice_level_average():
-    levels = tree.build_levels(make_spec(kmax=5, law=SymmetricPareto(1.5)))
-    for k in range(6):
-        b = identity.level_average_B(levels, k, 1.0)
-        for tau in (1, 3, 7):
-            a = identity.period_average_A(levels, k, 1.0, tau)
-            assert a <= 2.0 * b + 1e-12
-
-
 def test_level_average_rademacher_is_one():
     levels = tree.build_levels(make_spec(kmax=6, law=Rademacher()))
     for k in range(7):

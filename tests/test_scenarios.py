@@ -40,12 +40,23 @@ def test_resolve_config_rejections():
         scenarios.resolve_config({"scenario": "identity-suite", "law": {"variant": "pareto", "alpha": 0.8}})
     with pytest.raises(ConfigError, match="law"):
         scenarios.resolve_config({"scenario": "equivalence", "law": {"variant": "zeta"}})
+    with pytest.raises(ConfigError, match="alpha"):
+        scenarios.resolve_config({"scenario": "theorem-5-2", "law": {"variant": "pareto", "alpha": None}})
     with pytest.raises(ConfigError, match="tau_max"):
         scenarios.resolve_config({"scenario": "equivalence", "tau_max": 1 << 20})
     with pytest.raises(ConfigError, match="epsilons"):
         scenarios.resolve_config({"scenario": "equivalence", "epsilons": []})
     with pytest.raises(ConfigError, match="mc_seeds"):
         scenarios.resolve_config({"scenario": "identity-suite", "mc_seeds": 1})
+    # checks the runners used to make after the output directory existed
+    with pytest.raises(ConfigError, match="pareto"):
+        scenarios.resolve_config({"scenario": "theorem-5-2", "law": {"variant": "gaussian", "sigma": 1.0}})
+    with pytest.raises(ConfigError, match="dim must be at least 2"):
+        scenarios.resolve_config({"scenario": "field-demo", "dim": 1})
+    with pytest.raises(ConfigError, match="horizon"):
+        scenarios.resolve_config({"scenario": "theorem-5-2", "horizon": 256})
+    with pytest.raises(ConfigError, match="alpha_compare"):
+        scenarios.resolve_config({"scenario": "equivalence", "alpha_compare": 1.0})
 
 
 def test_theorem_5_2_accepts_blocked_alpha():
@@ -162,9 +173,74 @@ def test_effective_threads_env_cap(monkeypatch):
     assert scenarios.effective_threads(8) == 2
     assert scenarios.effective_threads(1) == 1
     monkeypatch.setenv("PADIC_SSSI_THREADS", "nonsense")
-    assert scenarios.effective_threads(8) == 8
+    with pytest.raises(ConfigError, match="PADIC_SSSI_THREADS"):
+        scenarios.effective_threads(8)
     monkeypatch.delenv("PADIC_SSSI_THREADS")
     assert scenarios.effective_threads(0) == 1
+
+
+def test_effective_threads_cpu_clamp(monkeypatch):
+    monkeypatch.delenv("PADIC_SSSI_THREADS", raising=False)
+    monkeypatch.setattr(scenarios.os, "cpu_count", lambda: 3)
+    assert scenarios.effective_threads(8) == 3
+    assert scenarios.effective_threads(2) == 2
+    monkeypatch.setattr(scenarios.os, "cpu_count", lambda: None)
+    assert scenarios.effective_threads(8) == 1
+
+
+# A tiny config per scenario, and one changed value per key it reads
+# (out_dir and threads never change the results).  A path repeats with
+# period p**(kmax + 1), so equivalence's tiny kmax keeps that period above
+# its horizon: a longer horizon would otherwise add no new values.
+TINY = {
+    "hierarchy-demo": {"horizon": 64, "tau_max": 16, "k_list": [0, 1, 2, 3]},
+    "equivalence": {"kmax": 8, "horizon": 64, "tau_max": 16, "k_list": [0, 1, 2], "replicates": 1},
+    "theorem-5-2": {"kmax": 10, "horizon": 8192, "k_list": [0, 1, 2], "replicates": 1},
+    "identity-suite": {"kmax": 3, "mc_seeds": 40},
+    "field-demo": {"kmax": 2, "horizon": 8, "tau_max": 4, "k_list": [0, 1, 2], "replicates": 1},
+}
+CHANGED = {
+    "p": 3,
+    "hurst": 0.4,
+    "law": {"variant": "rademacher"},
+    "seed": 7,
+    "dim": 3,
+    "epsilons": [0.25],
+    "q": 2.0,
+    "k_list": [0, 1],
+    "window_grid": [4, 8],
+    "tau_max": 3,
+    "replicates": 2,
+    "mc_seeds": 50,
+    "repetitions": 2,
+    "alpha_compare": 1.5,
+}
+
+
+def _outputs(out):
+    csvs = {p.name: p.read_bytes() for p in out.glob("*.csv")}
+    return csvs, json.loads((out / "summary.json").read_text())["results"]
+
+
+@pytest.mark.parametrize("scenario", sorted(TINY))
+def test_every_key_changes_the_outputs(tmp_path, scenario):
+    tiny = TINY[scenario]
+    base = small_config(scenario, tmp_path / "base", **tiny)
+    assert scenarios.run_scenario(base)[0] == 0
+    reference = _outputs(tmp_path / "base")
+    config = json.loads((tmp_path / "base" / "summary.json").read_text())["config"]
+    assert set(config) == {"scenario", *scenarios.DEFAULTS[scenario]}
+    for key in sorted(set(scenarios.DEFAULTS[scenario]) - {"out_dir", "threads"}):
+        if key in ("kmax", "horizon"):
+            value = tiny[key] + 1 if key == "kmax" else 2 * tiny[key]
+        elif key == "law" and scenario == "theorem-5-2":
+            value = {"variant": "pareto", "alpha": 1.5}  # theorem-5-2 refuses other laws
+        else:
+            value = CHANGED[key]
+        out = tmp_path / key
+        cfg = small_config(scenario, out, **{**tiny, key: value})
+        assert scenarios.run_scenario(cfg)[0] == 0
+        assert _outputs(out) != reference, f"{scenario}: changing {key} left every output unchanged"
 
 
 def test_load_config_errors(tmp_path):

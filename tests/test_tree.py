@@ -23,7 +23,6 @@ def test_level_sizes_example():
     spec = make_spec(p=2, kmax=3)
     assert [spec.level_modulus(k) for k in range(4)] == [2, 4, 8, 16]
     assert [spec.level_entry_count(k) for k in range(4)] == [2, 4, 8, 16]
-    assert spec.total_entry_count() == 30
     spec2 = make_spec(p=3, kmax=2, dim=2)
     assert [spec2.level_entry_count(k) for k in range(3)] == [9, 81, 729]
 
