@@ -13,10 +13,11 @@ translate averages holds for every seed.
 
 import numpy as np
 
-from padic_sssi import SymmetricPareto, Gaussian, TreeSpec, build_levels, lazy_path
+from padic_sssi import SymmetricPareto, Gaussian, TreeSpec, lazy_path
 from padic_sssi.diagnostics import translate_diff, weyl_profile
-from padic_sssi.identity import weyl_tail_bound
+from padic_sssi.identity import level_average_B, weyl_tail_bound
 from padic_sssi.laws import pareto_alpha_window, validate_law
+from padic_sssi.tree import level_values
 
 
 def main() -> int:
@@ -44,14 +45,16 @@ def main() -> int:
     # sum geometrically; the resulting bound on the translate average is
     # explicit and holds pathwise, heavy tails or not
     spec = TreeSpec(p=2, hurst=hurst, kmax=14, law=SymmetricPareto(1.25), seed=9003)
-    levels = build_levels(spec)
+    # B_{k,q}: the q-mean of level k over its full period
+    levels = (level_values(spec, k, np.arange(spec.level_modulus(k))) for k in range(spec.kmax + 1))
+    b = [level_average_B(values, q) for values in levels]
     xs = lazy_path(spec, horizon + (1 << 6) + 1).values
     print("translate averages vs closed-form tail bound, pareto(1.25):")
     for K in range(0, 7):
         tau = 2 ** K
         w = weyl_profile(translate_diff(xs, tau), q=q, window_grid=(horizon,)).headline
-        b = weyl_tail_bound(levels, K, q)
-        print(f"  K = {K}, tau = {tau:3d}: measured {w:8.4f} <= bound {b:8.4f}  {w <= b}")
+        bound = weyl_tail_bound(spec, b, K)
+        print(f"  K = {K}, tau = {tau:3d}: measured {w:8.4f} <= bound {bound:8.4f}  {w <= bound}")
     return 0
 
 

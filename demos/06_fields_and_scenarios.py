@@ -15,7 +15,7 @@ import tempfile
 
 import numpy as np
 
-from padic_sssi import Gaussian, PadicContext, TreeSpec, build_levels, field
+from padic_sssi import Gaussian, PadicContext, TreeSpec, field
 from padic_sssi.diagnostics import padic_modulus_field, translation_vectors_field
 from padic_sssi.scenarios import resolve_config, run_scenario
 
@@ -23,8 +23,7 @@ from padic_sssi.scenarios import resolve_config, run_scenario
 def main() -> int:
     # a 64 x 64 window of a 2-d field with 5 hierarchy levels
     spec = TreeSpec(p=2, hurst=0.7, kmax=4, law=Gaussian(1.0), seed=31337, dim=2)
-    levels = build_levels(spec)
-    grid = field(levels, side=63).values
+    grid = field(spec, side=63).values
     print(f"field window shape {grid.shape}, X(0,0) = {grid[0, 0]:.6f}")
 
     # the modulus over residue classes of 2**K decays with K in each case

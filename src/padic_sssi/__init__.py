@@ -27,14 +27,11 @@ from .rng import derive_seed
 from .tree import (
     FieldPath,
     Path,
-    TreeLevels,
     TreeSpec,
     build_levels,
     field,
     lazy_path,
-    path,
     read_binary,
-    sublattice_path,
     truncation_tail_bound,
     write_binary,
 )
@@ -61,14 +58,11 @@ __all__ = [
     "derive_seed",
     "FieldPath",
     "Path",
-    "TreeLevels",
     "TreeSpec",
     "build_levels",
     "field",
     "lazy_path",
-    "path",
     "read_binary",
-    "sublattice_path",
     "truncation_tail_bound",
     "write_binary",
 ]

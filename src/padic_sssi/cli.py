@@ -97,15 +97,15 @@ def _cmd_simulate(args) -> int:
         raise ConfigError(str(exc)) from None
     if args.horizon < 2:
         raise ConfigError(f"horizon must be at least 2, got {args.horizon}")
-    outdir = FsPath(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    # a request over the cap is refused before anything is drawn or written
     if spec.dim == 1:
         obj = tree.lazy_path(spec, args.horizon)
         stem = "path"
     else:
-        levels = tree.build_levels(spec)
-        obj = tree.field(levels, args.horizon - 1)
+        obj = tree.field(spec, args.horizon - 1)
         stem = "field"
+    outdir = FsPath(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
     written = []
     if args.format in ("csv", "both"):
         target = outdir / f"{stem}.csv"

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import laws, rng, tree
 from .padic import PadicContext
-from .tree import TreeLevels, TreeSpec
+from .tree import TreeSpec
 
 # 1% large-sample two-sample Kolmogorov-Smirnov coefficient:
 # threshold = KS_COEFF_1PCT * sqrt((m+n)/(m*n)).
@@ -248,31 +248,24 @@ def projection_probe_test(
 # deterministic level statistics
 
 
-def level_average_B(levels: TreeLevels, k: int, q: float) -> float:
-    """(p**-(k+1) sum_r |xi_{k, r}|**q)**(1/q)."""
-    spec = levels.spec
-    if spec.dim != 1:
-        raise ValueError("level_average_B requires dim=1")
+def level_average_B(values, q: float) -> float:
+    """B_{k,q} = (p**-(k+1) sum_r |xi_{k, r}|**q)**(1/q) over one level's full period of values."""
     if not q >= 1:
         raise ValueError(f"q must be at least 1, got {q}")
-    arr = levels.arrays[k]
-    return float(np.mean(np.abs(arr) ** q) ** (1.0 / q))
+    return float(np.mean(np.abs(values) ** q) ** (1.0 / q))
 
 
-def weyl_tail_bound(levels: TreeLevels, K: int, q: float) -> float:
-    """2 sum_{k=K}^{kmax} p**(-k H) B_{k,q}: Weyl bound for translates in p**K N.
+def weyl_tail_bound(spec: TreeSpec, b, K: int) -> float:
+    """2 sum_{k=K}^{kmax} p**(-k H) b[k]: Weyl bound for translates in p**K N.
 
-    For any translate tau divisible by p**K, levels below K cancel and each
-    surviving level's windowed q-mean is at most 2 B_{k,q}, so this bound
-    dominates the Weyl estimate of the translate difference.
+    `b[k]` is the level q-mean B_{k,q} (level_average_B).  For any translate
+    tau divisible by p**K, levels below K cancel and each surviving level's
+    windowed q-mean is at most 2 B_{k,q}, so this bound dominates the Weyl
+    estimate of the translate difference; above kmax no level survives.
     """
-    spec = levels.spec
-    if not 0 <= K <= spec.kmax:
-        raise ValueError(f"K must lie in 0..kmax={spec.kmax}, got {K}")
-    total = 0.0
-    for k in range(spec.kmax, K - 1, -1):
-        total += spec.weight(k) * level_average_B(levels, k, q)
-    return 2.0 * total
+    if K < 0:
+        raise ValueError(f"K must be non-negative, got {K}")
+    return 2.0 * sum(spec.weight(k) * b[k] for k in range(spec.kmax, K - 1, -1))
 
 
 def gaussian_variance_oracle(spec: TreeSpec, index: int) -> float:

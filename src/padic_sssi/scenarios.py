@@ -238,7 +238,31 @@ def resolve_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig
         raise ConfigError(str(exc)) from None
     if "tau_max" in cfg.params and cfg.tau_max >= cfg.horizon:
         raise ConfigError(f"tau_max={cfg.tau_max} must be below horizon={cfg.horizon}")
+    if scenario == "theorem-5-2" and not _k_below_horizon(cfg):
+        raise ConfigError(f"k_list={list(cfg.k_list)} has no K with p**K below horizon={cfg.horizon}")
+    if "window_grid" in cfg.params:
+        # the shortest translate the runner takes windows over
+        shortest = cfg.horizon - (4 if scenario == "hierarchy-demo" else cfg.p ** max(_k_below_horizon(cfg)))
+        grid = _window_grid(cfg)
+        if any(b <= a for a, b in zip(grid, grid[1:])):
+            raise ConfigError(f"window_grid={list(grid)} must be strictly increasing")
+        if not grid or grid[0] > shortest:
+            raise ConfigError(
+                f"window_grid={list(grid)}: no window fits the shortest translate,"
+                f" {shortest} points at horizon={cfg.horizon}"
+            )
     return cfg
+
+
+def _k_below_horizon(cfg: ExperimentConfig) -> list[int]:
+    """The k_list entries K with p**K below the horizon."""
+    return [K for K in cfg.k_list if cfg.p ** K < cfg.horizon]
+
+
+def _window_grid(cfg: ExperimentConfig):
+    """The configured window grid, or the scenario's dyadic default."""
+    limit = cfg.horizon - 8 if cfg.scenario == "hierarchy-demo" else cfg.horizon // 2
+    return cfg.window_grid or dg.dyadic_grid(limit)
 
 
 def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
@@ -327,7 +351,7 @@ def run_hierarchy_demo(cfg: ExperimentConfig, outdir: FsPath) -> tuple[dict, lis
         for eps in cfg.epsilons:
             rep = dg.bohr_translation_set(f, eps, cfg.tau_max, distances=dist)
             bohr_rows.append((name, eps, len(rep.taus), rep.max_gap))
-        grid = cfg.window_grid or dg.dyadic_grid(cfg.horizon - 8)
+        grid = _window_grid(cfg)
         for tau in (3, 4):
             u = dg.translate_diff(f, tau)
             g = [L for L in grid if L <= u.horizon]
@@ -372,7 +396,7 @@ def run_equivalence(cfg: ExperimentConfig, outdir: FsPath) -> tuple[dict, list[s
         "gaussian": cfg.law,
         "pareto": laws.SymmetricPareto(cfg.alpha_compare),
     }
-    modulus_k = [K for K in cfg.k_list if cfg.p ** K < cfg.horizon]
+    modulus_k = _k_below_horizon(cfg)
     bohr_k = [K for K in modulus_k if cfg.p ** K <= cfg.tau_max]
 
     def one(job):
@@ -464,8 +488,8 @@ def run_theorem_5_2(cfg: ExperimentConfig, outdir: FsPath) -> tuple[dict, list[s
 
     seeds = _replica_seeds(cfg, cfg.replicates)
     ctx = PadicContext(cfg.p)
-    usable_k = [K for K in cfg.k_list if cfg.p ** K < cfg.horizon]
-    grid = cfg.window_grid or dg.dyadic_grid(cfg.horizon // 2)
+    usable_k = _k_below_horizon(cfg)
+    grid = _window_grid(cfg)
 
     def one(seed_index: int):
         spec = TreeSpec(p=cfg.p, hurst=hurst, kmax=cfg.kmax, law=law, seed=int(seeds[seed_index]), dim=1)
@@ -478,14 +502,14 @@ def run_theorem_5_2(cfg: ExperimentConfig, outdir: FsPath) -> tuple[dict, list[s
             if k not in held:
                 held.clear()
                 held[k] = arr = tree.level_values(spec, k, np.arange(spec.level_modulus(k), dtype=np.int64))
-                b[k] = float(np.mean(np.abs(arr) ** q) ** (1.0 / q))
+                b[k] = identity.level_average_B(arr, q)
             return held[k][residues]
 
         f = dg.SeriesView(tree.level_sum(spec, xi, np.arange(cfg.horizon, dtype=np.int64)))
         tail_rows, weyl_rows = [], []
         bounds, heads = {}, {}
         for K in usable_k:
-            bound = 2.0 * sum(spec.weight(k) * b[k] for k in range(spec.kmax, K - 1, -1))
+            bound = identity.weyl_tail_bound(spec, b, K)
             bounds[K] = bound
             tail_rows.append((seed_index, K, bound))
             tau = cfg.p ** K
@@ -627,8 +651,7 @@ def run_field_demo(cfg: ExperimentConfig, outdir: FsPath) -> tuple[dict, list[st
     usable_k = [K for K in cfg.k_list if cfg.p ** K <= side]
 
     def one(seed_index: int):
-        levels = tree.build_levels(cfg.tree_spec(seeds[seed_index]))
-        fp = tree.field(levels, side)
+        fp = tree.field(cfg.tree_spec(seeds[seed_index]), side)
         mod_rows, tr_rows = [], []
         moduli = {}
         for K in usable_k:

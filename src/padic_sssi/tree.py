@@ -8,25 +8,26 @@ r mod p**(k+1) (residue tuples in dimension d), extended periodically, and
 
 Truncation at Kmax is explicit: the expected absolute tail error at any
 fixed index is at most truncation_tail_bound(spec).  Because each xi is
-addressed by (seed, k, r) through a counter-based generator, levels can be
-materialized densely, evaluated lazily at arbitrary indices without
-storage, and extended to a larger Kmax without disturbing existing levels.
+addressed by (seed, k, r) through a counter-based generator, levels are
+evaluated lazily at arbitrary indices without storage and extend to a
+larger Kmax without disturbing existing levels.
 
-Every evaluation (dense or lazy paths, pointwise values, fields, sublattice
-paths) is one call of level_sum with a per-level lookup of xi, so all of
-them combine the same addressed draws in the same order.
+Every evaluation (paths, pointwise values, fields) is one call of
+level_sum with the keyed per-level lookup keyed_lookup, so all of them
+combine the same addressed draws in the same order.  build_levels
+materializes the levels densely as the bitwise oracle for them.
 
-Sublattice increment paths u -> X_{r + p**K u} - X_r are computed from
-levels k >= K only: a step of p**K leaves residues mod p**(k+1) unchanged
-for every k < K, so those levels cancel exactly and the direct k >= K sum
-avoids the float cancellation noise of naive differencing.
+Sublattice increments X_{r + p**K u} - X_r are summed over levels k >= K
+only: a step of p**K leaves residues mod p**(k+1) unchanged for every
+k < K, so those levels cancel exactly and the direct k >= K sum avoids the
+float cancellation noise of naive differencing.
 """
 
 from __future__ import annotations
 
 import io
-import itertools
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -37,8 +38,8 @@ from .errors import ResourceCapError
 from .laws import IncrementLaw
 from .padic import PadicContext, checked_modulus
 
-# Ceiling on total stored level entries (counts, not bytes); one entry is a
-# float64, so the default allows about 270 MB of level data.
+# Ceiling on the entries one request stores: the values it draws plus its
+# output (counts, not bytes); one entry is a float64, so about 270 MB.
 DEFAULT_MEMORY_CAP = 1 << 25
 
 _U64_MAX = (1 << 64) - 1
@@ -62,8 +63,8 @@ class TreeSpec:
 
     def __post_init__(self) -> None:
         PadicContext(self.p)  # primality check
-        if not self.hurst > 0:
-            raise ValueError(f"hurst must be positive, got {self.hurst}")
+        if not 0 < self.hurst < math.inf:
+            raise ValueError(f"hurst must be a positive finite number, got {self.hurst}")
         if self.kmax < 0:
             raise ValueError(f"kmax must be non-negative, got {self.kmax}")
         if self.dim < 1:
@@ -80,9 +81,6 @@ class TreeSpec:
         if not 0 <= k <= self.kmax:
             raise ValueError(f"level {k} outside 0..{self.kmax}")
         return self.p ** (k + 1)
-
-    def level_entry_count(self, k: int) -> int:
-        return self.level_modulus(k) ** self.dim
 
     def weight(self, k: int) -> float:
         """Level weight p**(-k*H)."""
@@ -137,54 +135,38 @@ def level_values(spec: TreeSpec, k: int, residues: np.ndarray) -> np.ndarray:
     return laws.keyed_values(spec.law, spec.seed, k, flat)
 
 
-@dataclass(frozen=True)
-class TreeLevels:
-    """Dense per-level noise arrays; level k has shape (p**(k+1),) * dim."""
+def _check_cap(spec: TreeSpec, extent: int, output: int, memory_cap: int = DEFAULT_MEMORY_CAP) -> None:
+    """Refuse a request over the memory cap before anything is drawn or allocated.
 
-    spec: TreeSpec
-    arrays: tuple[np.ndarray, ...]
-
-    def xi(self, k: int, point) -> float:
-        """xi at level k, periodically extended to the whole lattice."""
-        m = self.spec.level_modulus(k)
-        if self.spec.dim == 1:
-            if not np.ndim(point) == 0:
-                raise ValueError("scalar index expected for dim=1")
-            return float(self.arrays[k][int(point) % m])
-        point = tuple(int(c) for c in np.atleast_1d(point))
-        if len(point) != self.spec.dim:
-            raise ValueError(f"index must have {self.spec.dim} coordinates")
-        return float(self.arrays[k][tuple(c % m for c in point)])
-
-    def block(self, k: int, residues) -> np.ndarray:
-        """Gather level k over the box residues**dim (residues index every axis)."""
-        axis = np.atleast_1d(residues)
-        return self.arrays[k][np.ix_(*[axis] * self.spec.dim)]
-
-
-def build_levels(spec: TreeSpec, memory_cap: int = DEFAULT_MEMORY_CAP) -> TreeLevels:
-    """Materialize all levels 0..kmax as dense arrays.
-
-    Raises ResourceCapError naming the offending level if cumulative entry
-    counts would exceed `memory_cap`; the check runs before anything is drawn.
+    The request draws the box [0, min(p**(k+1), extent))**dim at each level
+    k and stores `output` result entries.  ResourceCapError names the level
+    at which the running total of entries first exceeds `memory_cap`.
     """
-    counts = (spec.level_entry_count(k) for k in range(spec.kmax + 1))
-    for k, total in enumerate(itertools.accumulate(counts)):
-        if total > memory_cap:
-            raise ResourceCapError(
-                f"level {k} pushes stored entries to {total}, above the cap of {memory_cap}"
-            )
-    arrays = []
+    total = output
     for k in range(spec.kmax + 1):
-        m = spec.level_modulus(k)
-        if spec.dim == 1:
-            vals = level_values(spec, k, np.arange(m, dtype=np.int64))
-        else:
-            idx = np.indices((m,) * spec.dim).reshape(spec.dim, -1).T
-            vals = level_values(spec, k, idx).reshape((m,) * spec.dim)
-        vals.setflags(write=False)
-        arrays.append(vals)
-    return TreeLevels(spec=spec, arrays=tuple(arrays))
+        total += min(spec.level_modulus(k), extent) ** spec.dim
+        if total > memory_cap:
+            raise ResourceCapError(f"level {k} pushes stored entries to {total}, above the cap of {memory_cap}")
+
+
+def _box_values(spec: TreeSpec, k: int, n: int) -> np.ndarray:
+    """xi at level k over the box [0, n)**dim, with shape (n,) * dim."""
+    idx = np.indices((n,) * spec.dim, dtype=np.int64)
+    return level_values(spec, k, idx[0] if spec.dim == 1 else np.moveaxis(idx, 0, -1))
+
+
+def build_levels(spec: TreeSpec, memory_cap: int = DEFAULT_MEMORY_CAP) -> tuple[np.ndarray, ...]:
+    """Materialize all levels 0..kmax as read-only dense arrays, level k of shape (p**(k+1),) * dim.
+
+    The bitwise oracle for the keyed evaluations.  Raises ResourceCapError
+    naming the offending level if cumulative entry counts would exceed
+    `memory_cap`; the check runs before anything is drawn.
+    """
+    _check_cap(spec, spec.level_modulus(spec.kmax), 0, memory_cap)
+    arrays = tuple(_box_values(spec, k, spec.level_modulus(k)) for k in range(spec.kmax + 1))
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
 
 
 def level_sum(spec: TreeSpec, xi, points, base=0, k_lo: int = 0) -> np.ndarray:
@@ -208,17 +190,31 @@ def level_sum(spec: TreeSpec, xi, points, base=0, k_lo: int = 0) -> np.ndarray:
 def keyed_lookup(spec: TreeSpec, seeds=None):
     """Lookup xi(k, residues) drawing addressed values, at spec.seed or at `seeds`.
 
-    At a single seed, a residue array longer than the level's period draws
-    the period once and gathers from it, so no address is drawn twice.
+    For dim >= 2 the residues index every axis: the lookup returns xi over
+    the box residues**dim.  At a single seed, every lookup for dim >= 2, and
+    a lookup with at least n = min(p**(k+1), largest residue + 1) residues,
+    draws the box [0, n)**dim in one call and gathers from it.  The box is
+    held until the next level, so the level's base lookup reads it too and
+    no address is drawn twice.  Sparse residues and seed arrays draw
+    exactly the addresses asked for.
     """
     seed = spec.seed if seeds is None else np.asarray(seeds, dtype=np.uint64)
     single_seed = np.ndim(seed) == 0
+    held: dict[int, np.ndarray] = {}
 
     def xi(k: int, residues) -> np.ndarray:
-        m = spec.level_modulus(k)
-        if single_seed and np.size(residues) > m:
-            return laws.keyed_values(spec.law, seed, k, np.arange(m, dtype=np.int64))[residues]
-        return laws.keyed_values(spec.law, seed, k, residues)
+        if not single_seed:
+            return laws.keyed_values(spec.law, seed, k, residues)
+        r = np.asarray(residues)
+        top = int(r.max()) + 1 if r.size else 0
+        block = held.get(k)
+        if block is None or top > len(block):
+            n = min(spec.level_modulus(k), top)
+            if spec.dim == 1 and r.size < n:
+                return laws.keyed_values(spec.law, seed, k, r)
+            held.clear()
+            held[k] = block = _box_values(spec, k, n)
+        return block[np.ix_(*[np.atleast_1d(r)] * spec.dim)] if spec.dim > 1 else block[r]
 
     return xi
 
@@ -248,28 +244,18 @@ class FieldPath:
         return self.values.ravel()
 
 
-def _check_path_request(spec: TreeSpec, horizon: int, name: str) -> None:
+def lazy_path(spec: TreeSpec, horizon: int) -> Path:
+    """Evaluate X_0..X_{horizon-1} from keyed draws (dim = 1 only).
+
+    Level k draws min(p**(k+1), horizon) values once.  A request whose
+    draws plus output exceed DEFAULT_MEMORY_CAP raises ResourceCapError
+    before anything is drawn.
+    """
     if spec.dim != 1:
-        raise ValueError(f"{name} requires dim=1; use field for higher dimensions")
+        raise ValueError("lazy_path requires dim=1; use field for higher dimensions")
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
-
-
-def path(levels: TreeLevels, horizon: int) -> Path:
-    """Evaluate X_0..X_{horizon-1} from dense levels (dim = 1 only)."""
-    spec = levels.spec
-    _check_path_request(spec, horizon, "path")
-    values = level_sum(spec, levels.block, np.arange(horizon, dtype=np.int64))
-    return Path(values=values, spec=spec, horizon=horizon)
-
-
-def lazy_path(spec: TreeSpec, horizon: int) -> Path:
-    """Evaluate a path without materializing dense levels.
-
-    Produces bit-identical values to path(build_levels(spec), horizon):
-    the same addressed draws are combined in the same order.
-    """
-    _check_path_request(spec, horizon, "lazy_path")
+    _check_cap(spec, horizon, horizon)
     values = level_sum(spec, keyed_lookup(spec), np.arange(horizon, dtype=np.int64))
     return Path(values=values, spec=spec, horizon=horizon)
 
@@ -289,33 +275,18 @@ def path_values(spec: TreeSpec, indices, seeds=None) -> np.ndarray:
     return level_sum(spec, keyed_lookup(spec, seeds), idx)
 
 
-def field(levels: TreeLevels, side: int) -> FieldPath:
-    """Evaluate the field over the box {0..side}**dim."""
+def field(spec: TreeSpec, side: int) -> FieldPath:
+    """Evaluate the field over the box {0..side}**dim from keyed draws.
+
+    Level k draws min(p**(k+1), side + 1)**dim values once.  A request
+    whose draws plus output exceed DEFAULT_MEMORY_CAP raises
+    ResourceCapError before anything is drawn.
+    """
     if side < 0:
         raise ValueError(f"side must be non-negative, got {side}")
-    values = level_sum(levels.spec, levels.block, np.arange(side + 1, dtype=np.int64))
-    return FieldPath(values=values, spec=levels.spec, side=side)
-
-
-def sublattice_path(levels: TreeLevels, r: int, K: int, horizon: int) -> Path:
-    """The recentered sublattice path u -> X_{r + p**K u} - X_r.
-
-    Computed directly from levels K..Kmax; levels below K cancel exactly
-    because a step of p**K does not move residues mod p**(k+1) for k < K.
-    """
-    spec = levels.spec
-    _check_path_request(spec, horizon, "sublattice_path")
-    if not 0 <= K <= spec.kmax:
-        raise ValueError(f"K must lie in 0..kmax={spec.kmax}, got {K}")
-    if r < 0:
-        raise ValueError(f"base point must be non-negative, got {r}")
-    step = checked_modulus(spec.p, K)
-    top = r + step * (horizon - 1)
-    if top > (1 << 62):
-        raise OverflowError(f"sublattice index {top} exceeds the supported range")
-    points = r + step * np.arange(horizon, dtype=np.int64)
-    values = level_sum(spec, levels.block, points, base=r, k_lo=K)
-    return Path(values=values, spec=spec, horizon=horizon)
+    _check_cap(spec, side + 1, (side + 1) ** spec.dim)
+    values = level_sum(spec, keyed_lookup(spec), np.arange(side + 1, dtype=np.int64))
+    return FieldPath(values=values, spec=spec, side=side)
 
 
 def truncation_tail_bound(spec: TreeSpec) -> float:

@@ -78,7 +78,7 @@ def test_criterion_2_exact_cancellation():
     spec = TreeSpec(p=2, hurst=0.5, kmax=12, law=Gaussian(1.0), seed=seed)
     levels = tree.build_levels(spec)
     horizon = 4096
-    x = tree.path(levels, horizon).values
+    x = tree.lazy_path(spec, horizon).values
     probe = np.random.default_rng(MASTER)
     worst = 0.0
     for K in range(0, 9):
@@ -88,7 +88,8 @@ def test_criterion_2_exact_cancellation():
             u_cap = (horizon - 1 - r) // pk
             u = int(probe.integers(0, u_cap + 1)) if u_cap > 0 else 0
             direct = x[r + pk * u] - x[r]
-            sub = tree.sublattice_path(levels, r, K, u + 1).values[u]
+            # the k >= K sum over the dense levels: no lower level enters
+            sub = float(tree.level_sum(spec, lambda k, res: levels[k][res], r + pk * u, base=r, k_lo=K))
             worst = max(worst, abs(direct - sub))
     dt = time.perf_counter() - t0
     ok = worst <= 1e-9 and dt < 30.0

@@ -86,6 +86,18 @@ TINY_DEMO = {"scenario": "hierarchy-demo", "horizon": 64, "tau_max": 16, "k_list
         ({"scenario": "equivalence", "hurst": float("inf")}, ("hurst",)),
         ({**TINY_DEMO, "epsilons": [float("inf")]}, ("epsilons",)),
         ({"scenario": "equivalence", "alpha_compare": float("inf")}, ("alpha_compare",)),
+        # no K with p**K below the horizon
+        ({"scenario": "theorem-5-2", "kmax": 10, "horizon": 8192, "k_list": [14], "replicates": 1}, ("k_list",)),
+        # window grids that leave a translate with no window
+        *(
+            ({"scenario": "hierarchy-demo", "horizon": h, "tau_max": 2, "k_list": [0, 1]}, ("window_grid", "horizon"))
+            for h in (5, 8)
+        ),
+        ({**TINY_DEMO, "window_grid": [100]}, ("window_grid",)),
+        ({**TINY_DEMO, "window_grid": [4, 2]}, ("window_grid", "increasing")),
+        ({"scenario": "theorem-5-2", "horizon": 8192, "window_grid": [1048576], "replicates": 1}, ("window_grid",)),
+        # the shortest translate comes from the largest K, wherever it sits in k_list
+        ({"scenario": "theorem-5-2", "horizon": 8192, "k_list": [12, 0], "window_grid": [5000]}, ("window_grid",)),
     ],
 )
 def test_run_refuses_bad_keys_before_output(tmp_path, capsys, payload, named):
@@ -152,9 +164,35 @@ def test_simulate_rejects_bad_law(tmp_path, capsys):
     assert run_cli(["simulate", "--law", "not-json", "--out", tmp_path]) == 2
 
 
-def test_simulate_resource_cap(tmp_path, capsys):
-    assert run_cli(["simulate", "--dim", 2, "--kmax", 12, "--horizon", 16, "--out", tmp_path]) == 3
-    assert "resource cap" in capsys.readouterr().err
+def test_simulate_deep_field_small_box(tmp_path):
+    # keyed draws: level k draws min(p**(k+1), 16)**2 values, not its full period
+    out = tmp_path / "deep"
+    assert run_cli(["simulate", "--dim", 2, "--kmax", 12, "--horizon", 16, "--out", out, "--format", "binary"]) == 0
+    with open(out / "field.pssi", "rb") as fh:
+        assert tree.read_binary(fh).values.shape == (16, 16)
+
+
+def test_simulate_resource_cap(tmp_path, capsys, monkeypatch):
+    drawn = []
+    monkeypatch.setattr("padic_sssi.laws.keyed_values", lambda *a: drawn.append(a))
+    requests = [
+        ["--dim", 2, "--kmax", 0, "--horizon", 100000],  # a 100000**2 output box
+        ["--dim", 2, "--kmax", 12, "--horizon", 6000],  # 36 M box entries plus draws
+        ["--kmax", 3, "--horizon", 1 << 25],
+    ]
+    for j, request in enumerate(requests):
+        out = tmp_path / f"capped{j}"
+        assert run_cli(["simulate", *request, "--out", out]) == 3
+        assert "resource cap" in capsys.readouterr().err
+        assert not out.exists()
+    assert drawn == []
+
+
+def test_simulate_refuses_infinite_hurst(tmp_path, capsys):
+    out = tmp_path / "inf"
+    assert run_cli(["simulate", "--hurst", "inf", "--kmax", 3, "--horizon", 8, "--out", out]) == 2
+    assert "hurst" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_analyze_roundtrip(tmp_path, capsys):

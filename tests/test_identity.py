@@ -73,36 +73,47 @@ def test_level_average_rademacher_is_one():
     levels = tree.build_levels(make_spec(kmax=6, law=Rademacher()))
     for k in range(7):
         for q in (1.0, 2.0, 5.0):
-            assert identity.level_average_B(levels, k, q) == 1.0
+            assert identity.level_average_B(levels[k], q) == 1.0
+    with pytest.raises(ValueError, match="q"):
+        identity.level_average_B(levels[0], 0.5)
 
 
 def test_level_average_gaussian_homogeneity():
     a = tree.build_levels(make_spec(kmax=4, law=Gaussian(1.0), seed=9))
     b = tree.build_levels(make_spec(kmax=4, law=Gaussian(2.0), seed=9))
     for k in range(5):
-        assert identity.level_average_B(b, k, 1.0) == pytest.approx(
-            2.0 * identity.level_average_B(a, k, 1.0)
-        )
+        assert identity.level_average_B(b[k], 1.0) == pytest.approx(2.0 * identity.level_average_B(a[k], 1.0))
+
+
+def level_averages(spec, q):
+    return [identity.level_average_B(arr, q) for arr in tree.build_levels(spec)]
 
 
 def test_weyl_tail_bound_rademacher_closed_form():
     # B_k = 1 for all k, so the bound telescopes to 2 * sum_k 2**-k
-    levels = tree.build_levels(make_spec(kmax=10, hurst=1.0, law=Rademacher()))
-    assert identity.weyl_tail_bound(levels, 0, 1.0) == pytest.approx(3.998046875)
-    # closed form at every cut
+    spec = make_spec(kmax=10, hurst=1.0, law=Rademacher())
+    b = level_averages(spec, 1.0)
+    assert identity.weyl_tail_bound(spec, b, 0) == pytest.approx(3.998046875)
+    # closed form at every cut; above kmax no level survives
     for K in range(11):
         want = 2.0 * sum(2.0**-k for k in range(K, 11))
-        assert identity.weyl_tail_bound(levels, K, 1.0) == pytest.approx(want)
+        assert identity.weyl_tail_bound(spec, b, K) == pytest.approx(want)
+    assert identity.weyl_tail_bound(spec, b, 11) == 0.0
+    with pytest.raises(ValueError, match="K"):
+        identity.weyl_tail_bound(spec, b, -1)
 
 
 def test_weyl_tail_bound_monotone_in_cut_and_hurst():
-    levels = tree.build_levels(make_spec(kmax=8, hurst=0.7, law=SymmetricPareto(1.25)))
-    bounds = [identity.weyl_tail_bound(levels, K, 1.0) for K in range(9)]
+    spec = make_spec(kmax=8, hurst=0.7, law=SymmetricPareto(1.25))
+    b = level_averages(spec, 1.0)
+    bounds = [identity.weyl_tail_bound(spec, b, K) for K in range(9)]
     for x, y in zip(bounds, bounds[1:]):
         assert y < x
-    lo = tree.build_levels(make_spec(kmax=8, hurst=0.5, law=Rademacher()))
-    hi = tree.build_levels(make_spec(kmax=8, hurst=1.5, law=Rademacher()))
-    assert identity.weyl_tail_bound(hi, 0, 1.0) < identity.weyl_tail_bound(lo, 0, 1.0)
+    lo = make_spec(kmax=8, hurst=0.5, law=Rademacher())
+    hi = make_spec(kmax=8, hurst=1.5, law=Rademacher())
+    assert identity.weyl_tail_bound(hi, level_averages(hi, 1.0), 0) < identity.weyl_tail_bound(
+        lo, level_averages(lo, 1.0), 0
+    )
 
 
 # -- Gaussian variance oracle -------------------------------------------------

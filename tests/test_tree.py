@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padic_sssi import tree
+from padic_sssi import laws, tree
 from padic_sssi.errors import ResourceCapError
 from padic_sssi.laws import Gaussian, Rademacher, SymmetricPareto
 from padic_sssi.tree import TreeSpec
@@ -19,12 +19,21 @@ def make_spec(p=2, hurst=1.0, kmax=3, law=None, seed=12345, dim=1):
     return TreeSpec(p=p, hurst=hurst, kmax=kmax, law=law or Rademacher(), seed=seed, dim=dim)
 
 
+def dense_sum(spec, levels, points, base=0, k_lo=0):
+    """The level sum over build_levels' dense arrays: the bitwise oracle."""
+    if spec.dim == 1:
+        return tree.level_sum(spec, lambda k, r: levels[k][r], points, base=base, k_lo=k_lo)
+    return tree.level_sum(
+        spec, lambda k, r: levels[k][np.ix_(*[np.atleast_1d(r)] * spec.dim)], points, base=base, k_lo=k_lo
+    )
+
+
 def test_level_sizes_example():
     spec = make_spec(p=2, kmax=3)
     assert [spec.level_modulus(k) for k in range(4)] == [2, 4, 8, 16]
-    assert [spec.level_entry_count(k) for k in range(4)] == [2, 4, 8, 16]
+    assert [a.shape for a in tree.build_levels(spec)] == [(2,), (4,), (8,), (16,)]
     spec2 = make_spec(p=3, kmax=2, dim=2)
-    assert [spec2.level_entry_count(k) for k in range(3)] == [9, 81, 729]
+    assert [a.shape for a in tree.build_levels(spec2)] == [(3, 3), (9, 9), (27, 27)]
 
 
 def test_spec_validation():
@@ -34,6 +43,9 @@ def test_spec_validation():
         make_spec(hurst=0.0)
     with pytest.raises(ValueError):
         make_spec(hurst=-1.0)
+    for hurst in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="hurst"):
+            make_spec(hurst=hurst)
     with pytest.raises(ValueError):
         make_spec(kmax=-1)
     with pytest.raises(ValueError):
@@ -67,8 +79,7 @@ def test_spec_dict_roundtrip():
 
 
 def test_path_starts_at_zero():
-    levels = tree.build_levels(make_spec(law=Gaussian(1.0), kmax=5))
-    x = tree.path(levels, 64)
+    x = tree.lazy_path(make_spec(law=Gaussian(1.0), kmax=5), 64)
     assert x.values[0] == 0.0
     assert x.values.shape == (64,)
     assert np.all(np.isfinite(x.values))
@@ -100,41 +111,62 @@ def test_lazy_matches_dense_bitwise(p, kmax, law, beyond_period, data):
     period = spec.level_modulus(kmax)
     horizon = data.draw(st.integers(period + 1, 2 * period) if beyond_period else st.integers(1, period))
     levels = tree.build_levels(spec)
-    assert np.array_equal(tree.lazy_path(spec, horizon).values, tree.path(levels, horizon).values)
+    assert np.array_equal(tree.lazy_path(spec, horizon).values, dense_sum(spec, levels, np.arange(horizon)))
 
-    # sublattice path against a level-by-level sum of scalar lookups
+    # keyed sublattice increments against a level-by-level sum of scalar lookups
     K = data.draw(st.integers(0, kmax))
     r = data.draw(st.integers(0, 3 * period))
     steps = data.draw(st.integers(1, 12))
-    got = tree.sublattice_path(levels, r, K, steps).values
+    got = tree.level_sum(spec, tree.keyed_lookup(spec), r + p**K * np.arange(steps), base=r, k_lo=K)
     for u in range(steps):
         acc = 0.0
         for k in range(kmax, K - 1, -1):
-            acc += spec.weight(k) * (levels.xi(k, r + p**K * u) - levels.xi(k, r))
+            m = spec.level_modulus(k)
+            acc += spec.weight(k) * (levels[k][(r + p**K * u) % m] - levels[k][r % m])
         assert got[u] == acc
+
+
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.sampled_from([2, 3]),
+    st.sampled_from([Gaussian(1.0), SymmetricPareto(1.25), Rademacher()]),
+    st.booleans(),
+    st.data(),
+)
+@settings(max_examples=30, deadline=None)
+def test_field_matches_dense_bitwise(p, dim, law, beyond_period, data):
+    # box sides on both sides of the deepest period p**(kmax+1)
+    kmax = data.draw(st.integers(0, 2 if p ** (3 * dim) <= 5**4 else 1))
+    spec = make_spec(p=p, kmax=kmax, law=law, hurst=0.7, dim=dim, seed=data.draw(st.integers(0, 2**64 - 1)))
+    period = spec.level_modulus(kmax)
+    side = data.draw(st.integers(period, 2 * period) if beyond_period else st.integers(0, period - 1))
+    got = tree.field(spec, side).values
+    assert got.shape == (side + 1,) * dim
+    assert np.array_equal(got, dense_sum(spec, tree.build_levels(spec), np.arange(side + 1)))
 
 
 def test_path_against_naive_differencing():
     # direct per-index accumulation with scalar lookups
     spec = make_spec(law=Gaussian(1.0), kmax=4, hurst=0.6, seed=5)
     levels = tree.build_levels(spec)
-    x = tree.path(levels, 50)
+    x = tree.lazy_path(spec, 50)
     for n in range(50):
         acc = 0.0
         for k in range(spec.kmax, -1, -1):
             m = spec.level_modulus(k)
-            acc += spec.weight(k) * (levels.xi(k, n % m) - levels.xi(k, 0))
+            acc += spec.weight(k) * (levels[k][n % m] - levels[k][0])
         assert abs(acc - x.values[n]) <= 1e-9 * max(1.0, abs(acc))
 
 
 def test_xi_periodicity():
+    # keyed lookups of the periodically extended residues read the dense level
     spec = make_spec(law=Gaussian(1.0), kmax=3, seed=21)
     levels = tree.build_levels(spec)
     for k in range(4):
         m = spec.level_modulus(k)
-        for n in (0, 1, m - 1):
-            assert levels.xi(k, n) == levels.xi(k, n + m)
-            assert levels.xi(k, n) == levels.xi(k, n - m)
+        n = np.arange(-m, 2 * m)
+        assert np.array_equal(tree.keyed_lookup(spec)(k, n % m), levels[k][n % m])
+        assert np.array_equal(levels[k][n % m], np.tile(levels[k], 3))
 
 
 def test_truncation_extension_stability():
@@ -151,7 +183,7 @@ def test_truncation_extension_stability():
 def test_determinism_across_builds():
     spec = make_spec(law=SymmetricPareto(1.5), kmax=5, seed=44)
     a = tree.lazy_path(spec, 128).values
-    b = tree.path(tree.build_levels(spec), 128).values
+    b = dense_sum(spec, tree.build_levels(spec), np.arange(128))
     c = tree.lazy_path(spec, 128).values
     assert np.array_equal(a, b) and np.array_equal(a, c)
     other = tree.lazy_path(make_spec(law=SymmetricPareto(1.5), kmax=5, seed=45), 128).values
@@ -182,11 +214,13 @@ def test_path_bounded_by_weighted_tail_sum():
 
 
 def test_sublattice_path_identity_case():
+    # levels below K cancel on p**K sublattices: the k >= K sum is the path difference
     spec = make_spec(law=Gaussian(1.0), kmax=4, hurst=0.7, seed=8)
-    levels = tree.build_levels(spec)
-    direct = tree.path(levels, 32).values
-    sub = tree.sublattice_path(levels, 0, 0, 32).values
-    assert np.allclose(sub, direct, atol=1e-12)
+    x = tree.lazy_path(spec, 64).values
+    for r, K in ((0, 0), (3, 2), (5, 4)):
+        u = np.arange((63 - r) // spec.p**K + 1)
+        sub = tree.level_sum(spec, tree.keyed_lookup(spec), r + spec.p**K * u, base=r, k_lo=K)
+        assert np.allclose(sub, x[r + spec.p**K * u] - x[r], atol=1e-12)
 
 
 def test_sublattice_path_matches_decimated_construction():
@@ -194,20 +228,19 @@ def test_sublattice_path_matches_decimated_construction():
     spec = make_spec(law=Gaussian(1.0), kmax=4, hurst=0.7, seed=8)
     levels = tree.build_levels(spec)
     r, K, horizon = 3, 2, 16
-    got = tree.sublattice_path(levels, r, K, horizon).values
     pK = spec.p**K
+    got = dense_sum(spec, levels, r + pK * np.arange(horizon), base=r, k_lo=K)
     for u in range(horizon):
         acc = 0.0
         for k in range(spec.kmax, K - 1, -1):
             m = spec.level_modulus(k)
-            acc += spec.weight(k) * (levels.xi(k, (r + pK * u) % m) - levels.xi(k, r % m))
+            acc += spec.weight(k) * (levels[k][(r + pK * u) % m] - levels[k][r % m])
         assert abs(acc - got[u]) <= 1e-9 * max(1.0, abs(acc))
 
 
 def test_field_zero_at_deep_lattice_points():
     spec = make_spec(law=Gaussian(1.0), kmax=1, dim=2, seed=17)
-    levels = tree.build_levels(spec)
-    fp = tree.field(levels, 8)
+    fp = tree.field(spec, 8)
     grid = fp.grid()
     step = spec.p ** (spec.kmax + 1)  # both coords multiples of 4
     assert grid[0, 0] == 0.0
@@ -222,7 +255,7 @@ def test_field_diagonal_consistency():
     # the d = 1 path and the d = 2 field are driven by different level
     # tables, but both must vanish at the origin and be finite everywhere
     spec = make_spec(law=Gaussian(1.0), kmax=2, dim=2, seed=33)
-    fp = tree.field(tree.build_levels(spec), 10)
+    fp = tree.field(spec, 10)
     assert fp.grid().shape == (11, 11)
     assert np.all(np.isfinite(fp.grid()))
 
@@ -260,10 +293,48 @@ def test_memory_cap_refuses_before_drawing(monkeypatch):
     assert drawn == []
 
 
+def test_keyed_requests_refuse_over_cap_before_drawing(monkeypatch):
+    drawn = []
+    monkeypatch.setattr("padic_sssi.laws.keyed_values", lambda *a: drawn.append(a))
+    # the output box alone exceeds the cap
+    with pytest.raises(ResourceCapError) as err:
+        tree.field(make_spec(kmax=0, dim=2), 99999)
+    assert str(err.value) == "level 0 pushes stored entries to 10000000004, above the cap of 33554432"
+    # 6000**2 output entries, then the draws of levels 0..12
+    with pytest.raises(ResourceCapError, match="level 0"):
+        tree.field(make_spec(kmax=12, dim=2), 5999)
+    with pytest.raises(ResourceCapError, match="level 0"):
+        tree.lazy_path(make_spec(kmax=3), 1 << 25)
+    assert drawn == []
+
+
+@pytest.mark.parametrize(
+    "p, dim, kmax, extent",
+    [(2, 1, 16, 1 << 12), (3, 1, 4, 100), (2, 2, 4, 64), (2, 2, 12, 16), (3, 2, 2, 20), (2, 3, 2, 5)],
+)
+def test_one_keyed_draw_per_level(monkeypatch, p, dim, kmax, extent):
+    # each level draws the box [0, min(p**(k+1), extent))**dim once; the
+    # base lookup reads the held box
+    calls = []
+    real = laws.keyed_values
+
+    def spy(law, seed, level, residue):
+        calls.append((level, np.size(residue)))
+        return real(law, seed, level, residue)
+
+    monkeypatch.setattr(laws, "keyed_values", spy)
+    spec = make_spec(p=p, kmax=kmax, dim=dim, law=Gaussian(1.0))
+    if dim == 1:
+        tree.lazy_path(spec, extent)
+    else:
+        tree.field(spec, extent - 1)
+    assert calls == [(k, min(p ** (k + 1), extent) ** dim) for k in range(kmax, -1, -1)]
+
+
 def test_level_arrays_read_only():
     levels = tree.build_levels(make_spec(kmax=2))
     with pytest.raises(ValueError):
-        levels.arrays[0][0] = 99.0
+        levels[0][0] = 99.0
 
 
 def test_csv_roundtrip_path():
@@ -290,7 +361,7 @@ def test_binary_roundtrip_path_and_field():
     assert np.array_equal(back.values, x.values)
 
     fspec = make_spec(law=Gaussian(1.0), kmax=1, dim=2, seed=4)
-    fp = tree.field(tree.build_levels(fspec), 6)
+    fp = tree.field(fspec, 6)
     buf = io.BytesIO()
     tree.write_binary(fp, buf)
     buf.seek(0)
