@@ -16,7 +16,7 @@ import tempfile
 import numpy as np
 
 from padic_sssi import Gaussian, PadicContext, TreeSpec, field
-from padic_sssi.diagnostics import padic_modulus_field, translation_vectors_field
+from padic_sssi.diagnostics import modulus_curve, translation_vectors_field
 from padic_sssi.scenarios import resolve_config, run_scenario
 
 
@@ -26,9 +26,10 @@ def main() -> int:
     grid = field(spec, side=63).values
     print(f"field window shape {grid.shape}, X(0,0) = {grid[0, 0]:.6f}")
 
-    # the modulus over residue classes of 2**K decays with K in each case
+    # the modulus over residue classes of 2**K decays with K; one pass over
+    # the grid gives every K (and the limit-periodic errors, unused here)
     ctx = PadicContext(2)
-    omega = [padic_modulus_field(grid, ctx, K) for K in range(5)]
+    omega, _ = modulus_curve(grid, ctx, range(5))
     print("field modulus by level:", [f"{w:.4f}" for w in omega])
 
     # translation vectors h with sup |X(x+h) - X(x)| < eps form a coarse

@@ -14,6 +14,7 @@ parameter), 3 resource cap exceeded, 4 check-mode expectation failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -174,36 +175,28 @@ def _cmd_analyze(args) -> int:
         if not 0 < eps < math.inf:
             raise ConfigError(f"epsilon must be a positive finite number, got {eps}")
     f = dg.SeriesView(values)
-    outdir = FsPath(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-
-    mod_rows, k = [], 0
-    moduli = {}
-    while k <= args.max_k and ctx.p ** k < horizon:
-        om = dg.padic_modulus(f, ctx, k)
-        moduli[k] = om
-        _, lp_err = dg.limit_periodic_approx(f, ctx, k)
-        mod_rows.append((k, ctx.p ** k, om, lp_err))
-        k += 1
-    scenarios.write_csv(outdir / "modulus.csv", ["K", "p_pow_K", "omega", "limit_periodic_error"], mod_rows)
-
-    dist = dg.translate_sup_profile(f, tau_max)
-    bohr_rows = []
-    bohr_summaries = []
-    for eps in epsilons:
-        rep = dg.bohr_translation_set(f, eps, tau_max, distances=dist)
-        bohr_rows.append((eps, len(rep.taus), rep.max_gap))
-        bohr_summaries.append(rep.to_dict())
-    scenarios.write_csv(outdir / "bohr.csv", ["epsilon", "accepted_count", "max_gap"], bohr_rows)
-
     u = dg.translate_diff(f, args.tau)
     grid = dg.dyadic_grid(u.horizon)
-    wp = dg.weyl_profile(u, args.q, grid)
-    bp = dg.besicovitch_profile(u, args.q, grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        wp = dg.weyl_profile(u, args.q, grid)
+        bp = dg.besicovitch_profile(u, args.q, grid)
+    # a profile is finite exactly when the running sums of |u|**q stay below float64 overflow
+    if not np.isfinite(wp.estimates + bp.estimates).all():
+        raise ConfigError(f"q={args.q}: the sums of |u|**q overflow float64 for this series; choose a smaller q")
+    ks = list(itertools.takewhile(lambda k: ctx.p ** k < horizon, range(args.max_k + 1)))
+    omegas, errors = dg.modulus_curve(f, ctx, ks)
+    dist = dg.translate_sup_profile(f, tau_max)
+    reports = [dg.bohr_translation_set(f, eps, tau_max, distances=dist) for eps in epsilons]
+    mgrid, mvals = dg.running_max(f)
+
+    outdir = FsPath(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    mod_rows = [(k, ctx.p ** k, om, err) for k, om, err in zip(ks, omegas, errors)]
+    scenarios.write_csv(outdir / "modulus.csv", ["K", "p_pow_K", "omega", "limit_periodic_error"], mod_rows)
+    bohr_rows = [(eps, len(rep.taus), rep.max_gap) for eps, rep in zip(epsilons, reports)]
+    scenarios.write_csv(outdir / "bohr.csv", ["epsilon", "accepted_count", "max_gap"], bohr_rows)
     prof_rows = [(args.tau, L, w, b) for L, w, b in zip(grid, wp.estimates, bp.estimates)]
     scenarios.write_csv(outdir / "profiles.csv", ["tau", "L", "weyl", "besicovitch"], prof_rows)
-
-    mgrid, mvals = dg.running_max(f)
     scenarios.write_csv(outdir / "running_max.csv", ["N", "running_max"], [(g, v) for g, v in zip(mgrid, mvals)])
 
     payload = {
@@ -214,8 +207,8 @@ def _cmd_analyze(args) -> int:
         "q": args.q,
         "tau_max": tau_max,
         "sup_norm": dg.sup_norm(f),
-        "moduli": {str(kk): vv for kk, vv in moduli.items()},
-        "bohr": bohr_summaries,
+        "moduli": {str(k): om for k, om in zip(ks, omegas)},
+        "bohr": [rep.to_dict() for rep in reports],
         "weyl_headline": wp.headline,
         "besicovitch_headline": bp.headline,
     }

@@ -10,11 +10,12 @@ finite slice f(0..N-1) of a real sequence:
 * Weyl / Besicovitch: windowed q-means of a translate difference, with the
   window either sliding (Weyl, worst window) or anchored at 0 (Besicovitch);
 * p-adic continuity: the modulus omega(K) = worst |f(n + p**K u) - f(n)|,
-  computed in O(N) per K because the pairs inside one residue class mod
-  p**K attain their sup at (class max, class min).
+  from the per-class (max, min) over residue classes mod p**K.
 
-The sup-distance and the modulus each have one kernel (_shift_distances,
-_class_ranges) that serves sequences and fields over {0..side}**d alike.
+The sup-distance and the class extrema each have one kernel
+(_shift_distances, modulus_curve) that serves sequences and fields over
+{0..side}**d alike; modulus_curve gives the modulus and the
+limit-periodic error at every K from one pass over the values.
 
 Estimates are exact functions of the input array; the only approximation
 relative to the limit notions is the finite horizon, which every report
@@ -235,30 +236,9 @@ def besicovitch_profile(u, q: float, window_grid) -> SeminormProfile:
     )
 
 
-def _class_ranges(values: np.ndarray, modulus: int) -> np.ndarray:
-    """Per-residue-class (max - min) for classes n mod modulus, componentwise.
-
-    The sup of |f(a) - f(b)| over pairs in one class equals the class range,
-    so the modulus reduces to a min/max over the row axes after padding
-    every axis to a whole number of periods and reshaping to
-    (rows, modulus) per axis.
-    """
-    rows = [-(-n // modulus) for n in values.shape]
-    pad = [(0, r * modulus - n) for r, n in zip(rows, values.shape)]
-    shape = [x for r in rows for x in (r, modulus)]
-    row_axes = tuple(range(0, 2 * values.ndim, 2))
-    hi = np.pad(values, pad, constant_values=-np.inf).reshape(shape)
-    lo = np.pad(values, pad, constant_values=np.inf).reshape(shape)
-    return hi.max(axis=row_axes) - lo.min(axis=row_axes)
-
-
 def padic_modulus(f, ctx: PadicContext, K: int) -> float:
     """omega(K): worst |f(n + p**K u) - f(n)| over in-horizon pairs."""
-    f = _as_series(f)
-    modulus = checked_modulus(ctx.p, K)
-    if modulus >= f.horizon:
-        raise ValueError(f"p**K = {modulus} admits no pairs inside horizon {f.horizon}")
-    return float(np.max(_class_ranges(f.values, modulus)))
+    return modulus_curve(_as_series(f), ctx, [K])[0][0]
 
 
 def _cube(grid_values) -> np.ndarray:
@@ -274,17 +254,46 @@ def _cube(grid_values) -> np.ndarray:
 
 
 def padic_modulus_field(grid_values, ctx: PadicContext, K: int) -> float:
-    """Field modulus: worst |f(n + p**K m) - f(n)| over in-box pairs.
+    """Field modulus: worst |f(n + p**K m) - f(n)| over in-box pairs, of a FieldPath or a box array."""
+    return modulus_curve(grid_values, ctx, [K])[0][0]
 
-    `grid_values` is either a FieldPath or a d-dimensional array over the
-    box {0..side}**d.  Residue classes are componentwise mod p**K; each
-    class attains its sup at (class max, class min).
+
+def modulus_curve(f, ctx: PadicContext, ks) -> tuple[list[float], list[float]]:
+    """omega(K) and the limit-periodic error at every K in ks, in the order of ks.
+
+    `f` is a SeriesView, or a FieldPath or array over the box {0..side}**d
+    with componentwise residue classes; each K needs p**K below the points
+    per axis.  The class (max, min) is taken once at the largest K and folded
+    down, as a class mod p**K is the union of p classes mod p**(K+1) per
+    axis.  omega(K) is the largest class range; the error of g(n) =
+    f(n mod p**K) is the largest max(hi_r - f(r), f(r) - lo_r), which equals
+    max |f(n) - g(n)| bit for bit because rounding is monotone.
     """
-    grid = _cube(grid_values)
-    modulus = checked_modulus(ctx.p, K)
-    if modulus >= grid.shape[0]:
-        raise ValueError(f"p**K = {modulus} exceeds box side {grid.shape[0] - 1}")
-    return float(np.max(_class_ranges(grid, modulus)))
+    values = f.values if isinstance(f, SeriesView) else _cube(f)
+    ks = list(ks)
+    if not ks:
+        return [], []
+    d, n, top = values.ndim, values.shape[0], max(ks)
+    modulus = {K: checked_modulus(ctx.p, K) for K in ks}
+    if modulus[top] >= n:
+        where = f"admits no pairs inside horizon {n}" if isinstance(f, SeriesView) else f"exceeds box side {n - 1}"
+        raise ValueError(f"p**K = {modulus[top]} {where}")
+    axes = tuple(range(0, 2 * d, 2))
+    rows = -(-n // modulus[top])
+    pad = [(0, rows * modulus[top] - n)] * d
+    hi = np.pad(values, pad, constant_values=-np.inf).reshape((rows, modulus[top]) * d).max(axis=axes)
+    lo = np.pad(values, pad, constant_values=np.inf).reshape((rows, modulus[top]) * d).min(axis=axes)
+    curve = {}
+    for K in range(top, min(ks) - 1, -1):
+        m = ctx.p ** K
+        if K < top:
+            hi = hi.reshape((ctx.p, m) * d).max(axis=axes)
+            lo = lo.reshape((ctx.p, m) * d).min(axis=axes)
+        if K in modulus:
+            at_r = values[(slice(0, m),) * d]
+            # abs: both maxima are of absolute differences, so never -0.0
+            curve[K] = abs(float(np.max(hi - lo))), abs(float(np.max(np.maximum(hi - at_r, at_r - lo))))
+    return [curve[K][0] for K in ks], [curve[K][1] for K in ks]
 
 
 @dataclass(frozen=True)
@@ -380,20 +389,15 @@ def translation_vectors_field(
     )
 
 
-def limit_periodic_approx(f, ctx: PadicContext, K: int) -> tuple[SeriesView, float]:
-    """Least-residue periodization g(n) = f(n mod p**K) and its sup error.
+def limit_periodic_approx(f, ctx: PadicContext, K: int) -> float:
+    """Sup error of the least-residue periodization g(n) = f(n mod p**K).
 
-    When p**K covers the whole horizon, g equals f and the error is 0.
-    The error never exceeds padic_modulus at the same K, because each
-    pair (n, n mod p**K) differs by a multiple of p**K.
+    The error is 0 when p**K covers the whole horizon, and it never exceeds
+    padic_modulus at the same K, because each pair (n, n mod p**K) differs
+    by a multiple of p**K.
     """
     f = _as_series(f)
-    modulus = checked_modulus(ctx.p, K)
-    v = f.values
-    if modulus >= f.horizon:
-        return SeriesView(values=v.copy()), 0.0
-    g = v[np.arange(f.horizon, dtype=np.int64) % modulus]
-    return SeriesView(values=g), float(np.max(np.abs(v - g)))
+    return 0.0 if checked_modulus(ctx.p, K) >= f.horizon else modulus_curve(f, ctx, [K])[1][0]
 
 
 def sup_norm(f) -> float:

@@ -27,6 +27,7 @@ whose results are consumed in submission order.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -198,7 +199,8 @@ def resolve_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig
 
     Only the keys in DEFAULTS[scenario] are accepted.  Any other key, a
     malformed value or an inconsistent combination raises ConfigError
-    naming the key, before any output exists.
+    naming the key, and a run whose largest request exceeds the memory cap
+    raises ResourceCapError, before any output exists.
     """
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -227,13 +229,13 @@ def resolve_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig
             issue = laws.validate_law(cfg.law, for_tree=False)
             if issue is not None:
                 raise ConfigError(f"law.{issue.parameter}={issue.value}: {issue.reason}")
-            TreeSpec(cfg.p, cfg.hurst, cfg.kmax, laws.SymmetricPareto(_T52_PROXY["alpha"]), cfg.seed)
+            spec = TreeSpec(cfg.p, cfg.hurst, cfg.kmax, laws.SymmetricPareto(_T52_PROXY["alpha"]), cfg.seed)
             if cfg.p ** 8 >= cfg.horizon:
                 raise ConfigError(
                     f"horizon={cfg.horizon} must exceed p**8: theorem-5-2 compares omega(0) with omega(8)"
                 )
         else:
-            cfg.tree_spec()
+            spec = cfg.tree_spec()
     except (ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from None
     if "tau_max" in cfg.params and cfg.tau_max >= cfg.horizon:
@@ -251,6 +253,14 @@ def resolve_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig
                 f"window_grid={list(grid)}: no window fits the shortest translate,"
                 f" {shortest} points at horizon={cfg.horizon}"
             )
+    # the runner's largest request: the five demo sequences, the full level
+    # periods theorem-5-2 holds plus its path, or one path or field
+    if scenario == "hierarchy-demo":
+        tree.check_cap(None, 0, 5 * cfg.horizon)
+    elif scenario == "theorem-5-2":
+        tree.check_cap(spec, cfg.p ** (cfg.kmax + 1), cfg.horizon)
+    elif scenario != "identity-suite":
+        tree.check_cap(spec, cfg.horizon, cfg.horizon ** spec.dim)
     return cfg
 
 
@@ -336,17 +346,15 @@ def _demo_sequences(horizon: int) -> dict[str, np.ndarray]:
 def run_hierarchy_demo(cfg: ExperimentConfig, outdir: FsPath) -> tuple[dict, list[str]]:
     ctx = PadicContext(cfg.p)
     seqs = _demo_sequences(cfg.horizon)
+    ks = list(itertools.takewhile(lambda K: cfg.p ** K < cfg.horizon, cfg.k_list))
     mod_rows, bohr_rows, prof_rows, lp_rows = [], [], [], []
     summary: dict = {"sequences": {}}
     for name, values in seqs.items():
         f = dg.SeriesView(values)
-        moduli = {}
-        for K in cfg.k_list:
-            if cfg.p ** K >= cfg.horizon:
-                break
-            om = dg.padic_modulus(f, ctx, K)
-            moduli[K] = om
-            mod_rows.append((name, K, cfg.p ** K, om))
+        omegas, errors = dg.modulus_curve(f, ctx, ks)
+        mod_rows += [(name, K, cfg.p ** K, om) for K, om in zip(ks, omegas)]
+        # modulus.csv keeps a repeated K; limit_periodic.csv lists each K once
+        lp_rows += [(name, K, err) for K, err in dict(zip(ks, errors)).items()]
         dist = dg.translate_sup_profile(f, cfg.tau_max)
         for eps in cfg.epsilons:
             rep = dg.bohr_translation_set(f, eps, cfg.tau_max, distances=dist)
@@ -359,11 +367,8 @@ def run_hierarchy_demo(cfg: ExperimentConfig, outdir: FsPath) -> tuple[dict, lis
             bp = dg.besicovitch_profile(u, cfg.q, g)
             for L, wv, bv in zip(g, wp.estimates, bp.estimates):
                 prof_rows.append((name, tau, L, wv, bv))
-        for K in moduli:
-            _, err = dg.limit_periodic_approx(f, ctx, K)
-            lp_rows.append((name, K, err))
         summary["sequences"][name] = {
-            "moduli": {str(k): v for k, v in moduli.items()},
+            "moduli": {str(K): om for K, om in zip(ks, omegas)},
             "max_gap_at_first_epsilon": dg.bohr_translation_set(
                 f, cfg.epsilons[0], cfg.tau_max, distances=dist
             ).max_gap,
@@ -405,14 +410,11 @@ def run_equivalence(cfg: ExperimentConfig, outdir: FsPath) -> tuple[dict, list[s
         spec = TreeSpec(p=cfg.p, hurst=cfg.hurst, kmax=cfg.kmax, law=law, seed=int(seeds[seed_index]), dim=1)
         f = dg.SeriesView(tree.lazy_path(spec, cfg.horizon).values)
         dist = dg.translate_sup_profile(f, cfg.tau_max)
-        rows_m, rows_l, rows_b = [], [], []
-        moduli = {}
-        for K in modulus_k:
-            om = dg.padic_modulus(f, ctx, K)
-            moduli[K] = om
-            rows_m.append((law_name, seed_index, K, om))
-            _, err = dg.limit_periodic_approx(f, ctx, K)
-            rows_l.append((law_name, seed_index, K, err))
+        omegas, errors = dg.modulus_curve(f, ctx, modulus_k)
+        rows_m = [(law_name, seed_index, K, om) for K, om in zip(modulus_k, omegas)]
+        rows_l = [(law_name, seed_index, K, err) for K, err in zip(modulus_k, errors)]
+        rows_b = []
+        moduli = dict(zip(modulus_k, omegas))
         for K in bohr_k:
             eps = moduli[K] + 1e-6
             rep = dg.bohr_translation_set(f, eps, cfg.tau_max, distances=dist)
@@ -520,8 +522,7 @@ def run_theorem_5_2(cfg: ExperimentConfig, outdir: FsPath) -> tuple[dict, list[s
             weyl_rows.append((seed_index, K, tau, head))
         mgrid, mvals = dg.running_max(f)
         rm_rows = [(seed_index, N, v) for N, v in zip(mgrid, mvals)]
-        om0 = dg.padic_modulus(f, ctx, 0)
-        om8 = dg.padic_modulus(f, ctx, 8)
+        (om0, om8), _ = dg.modulus_curve(f, ctx, [0, 8])
         mod_rows = [(seed_index, 0, om0), (seed_index, 8, om8)]
         return tail_rows, weyl_rows, rm_rows, mod_rows, bounds, heads, (mgrid, mvals), (om0, om8)
 
@@ -652,34 +653,30 @@ def run_field_demo(cfg: ExperimentConfig, outdir: FsPath) -> tuple[dict, list[st
 
     def one(seed_index: int):
         fp = tree.field(cfg.tree_spec(seeds[seed_index]), side)
-        mod_rows, tr_rows = [], []
-        moduli = {}
-        for K in usable_k:
-            om = dg.padic_modulus_field(fp, ctx, K)
-            moduli[K] = om
-            mod_rows.append((seed_index, K, om))
+        omegas, _ = dg.modulus_curve(fp, ctx, usable_k)
+        mod_rows = [(seed_index, K, om) for K, om in zip(usable_k, omegas)]
+        tr_rows = []
         cover_ok = True
         h_max = min(side, cfg.tau_max)
         dist = dg.translation_distances_field(fp, h_max)
-        for K in usable_k:
-            eps = moduli[K] + 1e-6
+        for K, om in zip(usable_k, omegas):
+            eps = om + 1e-6
             rep = dg.translation_vectors_field(fp, eps, h_max, distances=dist)
             tr_rows.append(
                 (seed_index, K, eps, len(rep.accepted), rep.worst_empty_side, rep.covering_side)
             )
             if rep.covering_side > cfg.p ** K:
                 cover_ok = False
-        return mod_rows, tr_rows, moduli, cover_ok
+        return mod_rows, tr_rows, omegas, cover_ok
 
     results = _map_ordered(one, list(range(cfg.replicates)), effective_threads(cfg.threads))
     mod_rows, tr_rows = [], []
     monotone_ok = True
     covering_ok = True
-    for mr, tr, moduli, cover_ok in results:
+    for mr, tr, omegas, cover_ok in results:
         mod_rows += mr
         tr_rows += tr
-        vals = [moduli[K] for K in usable_k]
-        if any(b > a + 1e-12 for a, b in zip(vals, vals[1:])):
+        if any(b > a + 1e-12 for a, b in zip(omegas, omegas[1:])):
             monotone_ok = False
         covering_ok = covering_ok and cover_ok
     write_csv(outdir / "field_moduli.csv", ["seed_index", "K", "omega"], mod_rows)

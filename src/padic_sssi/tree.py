@@ -135,18 +135,23 @@ def level_values(spec: TreeSpec, k: int, residues: np.ndarray) -> np.ndarray:
     return laws.keyed_values(spec.law, spec.seed, k, flat)
 
 
-def _check_cap(spec: TreeSpec, extent: int, output: int, memory_cap: int = DEFAULT_MEMORY_CAP) -> None:
+def check_cap(spec: TreeSpec | None, extent: int, output: int, memory_cap: int = DEFAULT_MEMORY_CAP) -> None:
     """Refuse a request over the memory cap before anything is drawn or allocated.
 
-    The request draws the box [0, min(p**(k+1), extent))**dim at each level
-    k and stores `output` result entries.  ResourceCapError names the level
-    at which the running total of entries first exceeds `memory_cap`.
+    The request stores `output` result entries and, given a spec, draws the
+    box [0, min(p**(k+1), extent))**dim at each level k.  ResourceCapError
+    names the level at which the running total of entries first exceeds
+    `memory_cap`, or the total when there is no spec.
     """
     total = output
-    for k in range(spec.kmax + 1):
+    if spec and output + (spec.kmax + 1) * extent ** spec.dim <= memory_cap:
+        return  # no level draws more than extent**dim entries
+    for k in range(spec.kmax + 1 if spec else 0):
         total += min(spec.level_modulus(k), extent) ** spec.dim
         if total > memory_cap:
             raise ResourceCapError(f"level {k} pushes stored entries to {total}, above the cap of {memory_cap}")
+    if total > memory_cap:
+        raise ResourceCapError(f"{total} stored entries exceed the cap of {memory_cap}")
 
 
 def _box_values(spec: TreeSpec, k: int, n: int) -> np.ndarray:
@@ -162,7 +167,7 @@ def build_levels(spec: TreeSpec, memory_cap: int = DEFAULT_MEMORY_CAP) -> tuple[
     naming the offending level if cumulative entry counts would exceed
     `memory_cap`; the check runs before anything is drawn.
     """
-    _check_cap(spec, spec.level_modulus(spec.kmax), 0, memory_cap)
+    check_cap(spec, spec.level_modulus(spec.kmax), 0, memory_cap)
     arrays = tuple(_box_values(spec, k, spec.level_modulus(k)) for k in range(spec.kmax + 1))
     for arr in arrays:
         arr.setflags(write=False)
@@ -255,7 +260,7 @@ def lazy_path(spec: TreeSpec, horizon: int) -> Path:
         raise ValueError("lazy_path requires dim=1; use field for higher dimensions")
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
-    _check_cap(spec, horizon, horizon)
+    check_cap(spec, horizon, horizon)
     values = level_sum(spec, keyed_lookup(spec), np.arange(horizon, dtype=np.int64))
     return Path(values=values, spec=spec, horizon=horizon)
 
@@ -284,7 +289,7 @@ def field(spec: TreeSpec, side: int) -> FieldPath:
     """
     if side < 0:
         raise ValueError(f"side must be non-negative, got {side}")
-    _check_cap(spec, side + 1, (side + 1) ** spec.dim)
+    check_cap(spec, side + 1, (side + 1) ** spec.dim)
     values = level_sum(spec, keyed_lookup(spec), np.arange(side + 1, dtype=np.int64))
     return FieldPath(values=values, spec=spec, side=side)
 

@@ -275,7 +275,7 @@ def test_criterion_7_diagnostics_invariants():
         K = 0
         while p**K < horizon and K <= 8:
             oms.append(dg.padic_modulus(view, ctx, K))
-            _, err = dg.limit_periodic_approx(view, ctx, K)
+            err = dg.limit_periodic_approx(view, ctx, K)
             if err > oms[-1] + 1e-12:
                 violations.append(f"{name}: limit-periodic error {err} > modulus {oms[-1]} at K={K}")
             K += 1

@@ -127,6 +127,19 @@ def test_run_refuses_malformed_thread_cap(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "payload", [{"scenario": "field-demo", "horizon": 6000}, {"scenario": "equivalence", "horizon": 1 << 26}]
+)
+def test_run_refuses_over_cap_before_output(tmp_path, capsys, monkeypatch, payload):
+    drawn = []
+    monkeypatch.setattr("padic_sssi.laws.keyed_values", lambda *a: drawn.append(a))
+    out = tmp_path / "out"
+    assert run_cli(["run", "--config", write_config(tmp_path, {**payload, "replicates": 1}), "--out", out]) == 3
+    assert "resource cap" in capsys.readouterr().err
+    assert not out.exists()
+    assert drawn == []
+
+
 def test_simulate_path_csv_and_binary(tmp_path, capsys):
     out = tmp_path / "sim"
     assert (
@@ -255,6 +268,17 @@ def test_analyze_input_errors(tmp_path, capsys):
         out = tmp_path / f"bad{i}"
         assert run_cli(["analyze", "--input", ok, "--out", out, *bad_args]) == 2
         assert not out.exists()
+
+
+def test_analyze_refuses_overflowing_q(tmp_path, capsys):
+    src = tmp_path / "wide.csv"
+    src.write_text("\n".join(repr(float(v)) for v in np.random.default_rng(5).normal(0.0, 100.0, 2048)) + "\n")
+    # |u|**400 overflows float64, |u|**100 does not
+    assert run_cli(["analyze", "--input", src, "--q", 400, "--out", tmp_path / "q400"]) == 2
+    assert "q=400" in capsys.readouterr().err
+    assert not (tmp_path / "q400").exists()
+    assert run_cli(["analyze", "--input", src, "--q", 100, "--out", tmp_path / "q100"]) == 0
+    json.loads((tmp_path / "q100" / "analysis.json").read_text())
 
 
 def test_version_flag(capsys):

@@ -209,17 +209,13 @@ def test_limit_periodic_approx_examples():
     ctx = CTX2
     base = np.array([1.0, -2.0, 0.5, 3.0])
     f = np.tile(base, 16)
-    g, err = dg.limit_periodic_approx(f, ctx, 2)
-    assert err == 0.0
-    assert np.array_equal(g.values, f)
-    # K too coarse leaves a nonzero error equal to the modulus scale
-    _, err0 = dg.limit_periodic_approx(f, ctx, 0)
+    assert dg.limit_periodic_approx(f, ctx, 2) == 0.0
+    # K too coarse leaves a nonzero error, the sup distance to g(n) = f(n mod 1)
+    err0 = dg.limit_periodic_approx(f, ctx, 0)
     assert err0 > 0.0
-    # p**K >= horizon copies the series exactly
-    short = np.arange(10.0)
-    g2, err2 = dg.limit_periodic_approx(short, ctx, 4)
-    assert err2 == 0.0
-    assert np.array_equal(g2.values, short)
+    assert err0 == np.max(np.abs(f - f[np.arange(f.size) % 1]))
+    # p**K >= horizon: the periodization is the series itself
+    assert dg.limit_periodic_approx(np.arange(10.0), ctx, 4) == 0.0
 
 
 def test_limit_periodic_error_equals_half_modulus_bound():
@@ -228,7 +224,7 @@ def test_limit_periodic_error_equals_half_modulus_bound():
     rng = np.random.default_rng(11)
     f = rng.standard_normal(256)
     for K in (0, 2, 4):
-        _, err = dg.limit_periodic_approx(f, CTX2, K)
+        err = dg.limit_periodic_approx(f, CTX2, K)
         assert err <= dg.padic_modulus(f, CTX2, K) + 1e-12
 
 
@@ -406,6 +402,52 @@ def test_field_kernels_match_brute_force(grid, ctx, data):
             assert np.array_equal(dg.translation_distances_field(grid, t)[1:], dg.translate_sup_profile(grid, t))
         for k in range(K):
             assert dg.padic_modulus_field(grid, ctx, k) == dg.padic_modulus(grid, ctx, k)
+
+
+@st.composite
+def class_cases(draw):
+    """A prime, a box of values with ties (signed zeros too) and an unsorted K list with repeats."""
+    d = draw(st.integers(1, 3))
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(2, (40, 12, 6)[d - 1]))
+    values = draw(
+        st.lists(
+            st.floats(min_value=-1e3, max_value=1e3) | st.sampled_from([-0.0, 0.0, 1.0, 2.5]),
+            min_size=n**d,
+            max_size=n**d,
+        )
+    )
+    usable = [K for K in range(n) if p**K < n]
+    ks = draw(st.lists(st.sampled_from(usable), min_size=1, max_size=6))
+    return PadicContext(p), np.array(values, dtype=np.float64).reshape((n,) * d), ks
+
+
+@given(class_cases())
+@settings(max_examples=60, deadline=None)
+def test_modulus_curve_matches_per_k_brute_force(case):
+    ctx, grid, ks = case
+    n, d = grid.shape[0], grid.ndim
+    omegas, errors = dg.modulus_curve(grid, ctx, ks)
+    assert len(omegas) == len(errors) == len(ks)
+    for K, om, err in zip(ks, omegas, errors):
+        m = ctx.p**K
+        periodized = grid[np.ix_(*[np.arange(n) % m] * d)]  # g(n) = f(n mod p**K), componentwise
+        # repr tells -0.0 from 0.0, so the check is bit for bit
+        assert repr(om) == repr(brute_modulus(grid, m))
+        assert repr(err) == repr(float(np.max(np.abs(grid - periodized))))
+    if d == 1:
+        assert dg.modulus_curve(dg.SeriesView(grid), ctx, ks) == (omegas, errors)
+        assert [dg.limit_periodic_approx(grid, ctx, K) for K in ks] == errors
+    assert dg.modulus_curve(grid, ctx, []) == ([], [])
+
+
+def test_modulus_curve_refuses_classes_without_pairs():
+    with pytest.raises(ValueError, match="admits no pairs inside horizon 8"):
+        dg.modulus_curve(dg.SeriesView(np.arange(8.0)), CTX2, [0, 3])
+    with pytest.raises(ValueError, match="exceeds box side 3"):
+        dg.modulus_curve(np.zeros((4, 4)), CTX2, [2, 1])
+    with pytest.raises(ValueError, match="non-negative"):
+        dg.modulus_curve(np.arange(8.0), CTX2, [1, -1])
 
 
 def test_field_distances_validation():

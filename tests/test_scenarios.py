@@ -5,7 +5,7 @@ import json
 import pytest
 
 from padic_sssi import scenarios
-from padic_sssi.errors import ConfigError
+from padic_sssi.errors import ConfigError, ResourceCapError
 from padic_sssi.laws import Gaussian, SymmetricPareto
 
 
@@ -57,6 +57,21 @@ def test_resolve_config_rejections():
         scenarios.resolve_config({"scenario": "theorem-5-2", "horizon": 256})
     with pytest.raises(ConfigError, match="alpha_compare"):
         scenarios.resolve_config({"scenario": "equivalence", "alpha_compare": 1.0})
+
+
+@pytest.mark.parametrize(
+    "raw, level",
+    [
+        ({"scenario": "hierarchy-demo", "horizon": 1 << 30}, "5368709120 stored entries exceed"),  # 5 sequences
+        ({"scenario": "equivalence", "horizon": 1 << 26}, "level 0"),  # one 2**26-point path
+        ({"scenario": "theorem-5-2", "kmax": 30}, "level 23"),  # held periods 2**1..2**24 plus the path
+        ({"scenario": "field-demo", "horizon": 6000}, "level 0"),  # a 6000**2 box
+    ],
+)
+def test_resolve_config_refuses_over_cap_runs(raw, level):
+    # resolve_config allocates nothing, so a missing refusal fails cheaply
+    with pytest.raises(ResourceCapError, match=level):
+        scenarios.resolve_config(raw)
 
 
 def test_theorem_5_2_accepts_blocked_alpha():
