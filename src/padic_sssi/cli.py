@@ -181,8 +181,7 @@ def _cmd_analyze(args) -> int:
         wp = dg.weyl_profile(u, args.q, grid)
         bp = dg.besicovitch_profile(u, args.q, grid)
     # a profile is finite exactly when the running sums of |u|**q stay below float64 overflow
-    if not np.isfinite(wp.estimates + bp.estimates).all():
-        raise ConfigError(f"q={args.q}: the sums of |u|**q overflow float64 for this series; choose a smaller q")
+    scenarios.require_finite_q(args.q, wp.estimates + bp.estimates, "the sums of |u|**q for this series")
     ks = list(itertools.takewhile(lambda k: ctx.p ** k < horizon, range(args.max_k + 1)))
     omegas, errors = dg.modulus_curve(f, ctx, ks)
     dist = dg.translate_sup_profile(f, tau_max)

@@ -317,11 +317,22 @@ def _fmt(v) -> str:
 
 
 def write_csv(path: FsPath, header: list[str], rows: list[tuple]) -> None:
-    """One header line, then one comma-joined line per row; floats as repr."""
+    """One header line, then one comma-joined line per row; floats as repr.
+
+    Creates the file's directory, so a run that fails before its first
+    write leaves no output directory.
+    """
+    FsPath(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+
+def require_finite_q(q: float, values, what: str) -> None:
+    """Refuse a q at which a q-mean overflowed float64: ConfigError naming q."""
+    if not np.isfinite(values).all():
+        raise ConfigError(f"q={q}: {what} overflow float64; choose a smaller q")
 
 
 def _replica_seeds(cfg: ExperimentConfig, count: int) -> np.ndarray:
@@ -363,8 +374,10 @@ def run_hierarchy_demo(cfg: ExperimentConfig, outdir: FsPath) -> tuple[dict, lis
         for tau in (3, 4):
             u = dg.translate_diff(f, tau)
             g = [L for L in grid if L <= u.horizon]
-            wp = dg.weyl_profile(u, cfg.q, g)
-            bp = dg.besicovitch_profile(u, cfg.q, g)
+            with np.errstate(over="ignore", invalid="ignore"):
+                wp = dg.weyl_profile(u, cfg.q, g)
+                bp = dg.besicovitch_profile(u, cfg.q, g)
+            require_finite_q(cfg.q, wp.estimates + bp.estimates, f"the sums of |u|**q for sequence {name}")
             for L, wv, bv in zip(g, wp.estimates, bp.estimates):
                 prof_rows.append((name, tau, L, wv, bv))
         summary["sequences"][name] = {
@@ -504,10 +517,11 @@ def run_theorem_5_2(cfg: ExperimentConfig, outdir: FsPath) -> tuple[dict, list[s
             if k not in held:
                 held.clear()
                 held[k] = arr = tree.level_values(spec, k, np.arange(spec.level_modulus(k), dtype=np.int64))
-                b[k] = identity.level_average_B(arr, q)
+                with np.errstate(over="ignore"):
+                    b[k] = identity.level_average_B(arr, q)
             return held[k][residues]
 
-        f = dg.SeriesView(tree.level_sum(spec, xi, np.arange(cfg.horizon, dtype=np.int64)))
+        f = dg.SeriesView(tree.level_sum(spec, xi, range(cfg.horizon)))
         tail_rows, weyl_rows = [], []
         bounds, heads = {}, {}
         for K in usable_k:
@@ -516,10 +530,13 @@ def run_theorem_5_2(cfg: ExperimentConfig, outdir: FsPath) -> tuple[dict, list[s
             tail_rows.append((seed_index, K, bound))
             tau = cfg.p ** K
             u = dg.translate_diff(f, tau)
-            g = [L for L in grid if L <= u.horizon]
-            head = dg.weyl_profile(u, q, g).headline
+            # only the headline is reported: the window at the largest L that fits
+            with np.errstate(over="ignore", invalid="ignore"):
+                head = dg.weyl_profile(u, q, [L for L in grid if L <= u.horizon][-1:]).headline
             heads[K] = head
             weyl_rows.append((seed_index, K, tau, head))
+        require_finite_q(q, list(bounds.values()), "the level q-means B_{k,q}")
+        require_finite_q(q, list(heads.values()), "the sums of |u|**q")
         mgrid, mvals = dg.running_max(f)
         rm_rows = [(seed_index, N, v) for N, v in zip(mgrid, mvals)]
         (om0, om8), _ = dg.modulus_curve(f, ctx, [0, 8])
@@ -715,12 +732,14 @@ def run_scenario(cfg: ExperimentConfig, check: bool = False) -> tuple[int, dict]
     """Execute a resolved config; returns (exit_code, summary).
 
     Exit codes: 0 success, 3 resource cap, 4 failed checks in check mode.
-    Config errors, a malformed PADIC_SSSI_THREADS included, raise
-    ConfigError before any output exists and map to 2 in the CLI.
+    Config errors, a malformed PADIC_SSSI_THREADS and a q at which the
+    runner's q-means overflow included, raise ConfigError before any output
+    exists and map to 2 in the CLI.
     """
     effective_threads(cfg.threads)  # refuse a malformed PADIC_SSSI_THREADS first
     outdir = FsPath(cfg.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    # every runner computes all its rows before its first write_csv, which
+    # creates outdir: a run refused on the way leaves no output
     summary, failures = _RUNNERS[cfg.scenario](cfg, outdir)
     payload = {
         "scenario": cfg.scenario,
@@ -730,6 +749,7 @@ def run_scenario(cfg: ExperimentConfig, check: bool = False) -> tuple[int, dict]
         "check_mode": bool(check),
         "check_failures": failures,
     }
+    outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

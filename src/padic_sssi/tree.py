@@ -26,6 +26,7 @@ float cancellation noise of naive differencing.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import math
 import struct
@@ -181,15 +182,45 @@ def level_sum(spec: TreeSpec, xi, points, base=0, k_lo: int = 0) -> np.ndarray:
     residues; the result has the broadcast shape of the lookups.  Levels are
     added from the smallest weight up, which keeps the float accumulation
     error tiny and fixes the summation order every caller shares.
+
+    `points` may also be range(n), the contiguous box [0, n) (on every axis
+    when the lookup returns a box).  Each level is then looked up at its
+    r = min(p**(k+1), n) residues only, and its term is added once per
+    period: the same floats as the gather over the n points, without it.
     """
+    box = isinstance(points, range)
+    if box and points != range(len(points)):
+        raise ValueError(f"a range of points must be range(n), got {points!r}")
     acc = None
     for k in range(spec.kmax, k_lo - 1, -1):
         m = spec.level_modulus(k)
-        term = spec.weight(k) * (xi(k, points % m) - xi(k, base % m))
+        residues = np.arange(min(m, len(points)), dtype=np.int64) if box else points % m
+        term = spec.weight(k) * (xi(k, residues) - xi(k, base % m))
         if acc is None:
-            acc = np.zeros(np.shape(term), dtype=np.float64)
-        acc += term
+            acc = np.zeros((len(points),) * term.ndim if box else np.shape(term), dtype=np.float64)
+        if box:
+            _add_periodic(acc, term)
+        else:
+            acc += term
     return acc
+
+
+def _add_periodic(acc: np.ndarray, term: np.ndarray) -> None:
+    """acc += term extended periodically along every axis; both are cubes, term's side r <= acc's.
+
+    Along each axis the side splits into its full periods, viewed as
+    (n // r, r), and a remainder of n % r points that meets term[:n % r].
+    Splitting an axis never needs a copy, so every reshape of acc is a view.
+    """
+    n, r = acc.shape[0], term.shape[0]
+    full = n - n % r
+    # per axis: the slice of acc, its split shape, the slice of term, term's shape against it
+    periods = (slice(0, full), (full // r, r), slice(None), (1, r))
+    remainder = (slice(full, n), (n - full,), slice(0, n - full), (n - full,))
+    for axes in itertools.product([periods, remainder] if full < n else [periods], repeat=acc.ndim):
+        acc_idx, acc_shape, term_idx, term_shape = zip(*axes)
+        view = acc[acc_idx].reshape(sum(acc_shape, ()))
+        view += term[term_idx].reshape(sum(term_shape, ()))
 
 
 def keyed_lookup(spec: TreeSpec, seeds=None):
@@ -245,7 +276,7 @@ class FieldPath:
         return self.values
 
     def flat(self) -> np.ndarray:
-        """Values over box_points((0,..,0), side) in lexicographic order."""
+        """The values over {0..side}**dim in lexicographic order of the index tuples."""
         return self.values.ravel()
 
 
@@ -261,7 +292,7 @@ def lazy_path(spec: TreeSpec, horizon: int) -> Path:
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
     check_cap(spec, horizon, horizon)
-    values = level_sum(spec, keyed_lookup(spec), np.arange(horizon, dtype=np.int64))
+    values = level_sum(spec, keyed_lookup(spec), range(horizon))
     return Path(values=values, spec=spec, horizon=horizon)
 
 
@@ -290,7 +321,7 @@ def field(spec: TreeSpec, side: int) -> FieldPath:
     if side < 0:
         raise ValueError(f"side must be non-negative, got {side}")
     check_cap(spec, side + 1, (side + 1) ** spec.dim)
-    values = level_sum(spec, keyed_lookup(spec), np.arange(side + 1, dtype=np.int64))
+    values = level_sum(spec, keyed_lookup(spec), range(side + 1))
     return FieldPath(values=values, spec=spec, side=side)
 
 
@@ -318,13 +349,14 @@ def write_path_csv(p: Path, stream: io.TextIOBase) -> None:
 
 
 def write_field_csv(f: FieldPath, stream: io.TextIOBase) -> None:
-    dim = f.spec.dim
-    header = ",".join(f"i{a}" for a in range(dim))
-    stream.write(header + ",value\n")
-    flat = f.flat()
-    for pos, v in enumerate(flat):
-        coords = np.unravel_index(pos, f.values.shape)
-        stream.write(",".join(str(int(c)) for c in coords) + f",{float(v)!r}\n")
+    """i0,..,i{dim-1},value rows in lexicographic order; repr keeps float64 roundtrip exactness."""
+    stream.write("".join(f"i{a}," for a in range(f.spec.dim)) + "value\n")
+    *lead, n = f.values.shape
+    last = [f"{j}," for j in range(n)]
+    # one write per line of the last axis, its leading coordinates joined once
+    for head, line in zip(itertools.product(*map(range, lead)), f.values.reshape(-1, n).tolist()):
+        prefix = "".join(f"{i}," for i in head)
+        stream.write("".join(f"{prefix}{j}{v!r}\n" for j, v in zip(last, line)))
 
 
 def _spec_json_bytes(spec: TreeSpec) -> bytes:

@@ -281,6 +281,25 @@ def test_analyze_refuses_overflowing_q(tmp_path, capsys):
     json.loads((tmp_path / "q100" / "analysis.json").read_text())
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        # the alternating sequence has |u| = 2, and 2**2000 overflows
+        {"scenario": "hierarchy-demo", "horizon": 256, "tau_max": 40, "k_list": [0, 1, 2], "q": 2000},
+        # the level q-means B_{k,q} overflow at q = 300
+        {
+            "scenario": "theorem-5-2", "law": {"variant": "pareto", "alpha": 1.25}, "hurst": 0.7, "kmax": 8,
+            "horizon": 1024, "k_list": [0, 1, 2], "q": 300, "replicates": 2,
+        },
+    ],
+)
+def test_run_refuses_overflowing_q_before_output(tmp_path, capsys, payload):
+    out = tmp_path / "out"
+    assert run_cli(["run", "--config", write_config(tmp_path, payload), "--out", out]) == 2
+    assert f"q={float(payload['q'])}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(["--version"])

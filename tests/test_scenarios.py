@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from padic_sssi import scenarios
+from padic_sssi import diagnostics as dg, scenarios, tree
 from padic_sssi.errors import ConfigError, ResourceCapError
 from padic_sssi.laws import Gaussian, SymmetricPareto
 
@@ -130,6 +130,25 @@ def test_theorem_5_2_small_runs_and_reports_mode(tmp_path):
     code2, payload2 = scenarios.run_scenario(cfg, check=True)
     assert code2 == 4
     assert any("running max" in f for f in payload2["check_failures"])
+
+
+def test_theorem_5_2_headline_is_the_full_profile_headline(tmp_path):
+    # the runner asks weyl_profile for the largest window only; the full
+    # grid's headline is the same float
+    cfg = small_config(
+        "theorem-5-2", tmp_path, replicates=2, kmax=10, horizon=4096, hurst=0.7, q=1.5,
+        law={"variant": "pareto", "alpha": 1.25}, k_list=[0, 3, 5],
+    )
+    assert scenarios.run_scenario(cfg)[0] == 0
+    rows = [ln.split(",") for ln in (tmp_path / "translate_weyl.csv").read_text().split()[1:]]
+    assert len(rows) == 2 * 3
+    seeds = scenarios._replica_seeds(cfg, cfg.replicates)
+    grid = scenarios._window_grid(cfg)
+    for seed_index, K, tau, head in rows:
+        f = tree.lazy_path(cfg.tree_spec(seeds[int(seed_index)]), cfg.horizon)
+        u = dg.translate_diff(f.values, int(tau))
+        assert int(tau) == cfg.p ** int(K)
+        assert head == repr(dg.weyl_profile(u, cfg.q, [L for L in grid if L <= u.horizon]).headline)
 
 
 def test_identity_suite_small(tmp_path):

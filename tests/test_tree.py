@@ -145,6 +145,39 @@ def test_field_matches_dense_bitwise(p, dim, law, beyond_period, data):
     assert np.array_equal(got, dense_sum(spec, tree.build_levels(spec), np.arange(side + 1)))
 
 
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.sampled_from([1, 2]),
+    st.sampled_from([Gaussian(1.0), SymmetricPareto(1.25)]),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_level_sum_range_matches_gather_bitwise(p, dim, law, data):
+    # range(n) adds each level once per period; the gather over np.arange(n)
+    # is its reference, for n below p and off every period, at any base and
+    # lowest level, through the dense oracle and the keyed lookup alike
+    kmax = data.draw(st.integers(0, 4 if dim == 1 else 2 if p < 5 else 1))
+    spec = make_spec(p=p, kmax=kmax, law=law, hurst=0.7, dim=dim, seed=data.draw(st.integers(0, 2**64 - 1)))
+    period = spec.level_modulus(kmax)
+    n = data.draw(st.one_of(st.integers(1, p - 1), st.integers(p, 2 * period + p)))
+    base = data.draw(st.integers(0, 3 * period))
+    k_lo = data.draw(st.integers(0, kmax))
+    levels = tree.build_levels(spec)
+    want = dense_sum(spec, levels, np.arange(n), base=base, k_lo=k_lo)
+    assert want.shape == (n,) * dim
+    for got in (
+        dense_sum(spec, levels, range(n), base=base, k_lo=k_lo),
+        tree.level_sum(spec, tree.keyed_lookup(spec), range(n), base=base, k_lo=k_lo),
+    ):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_level_sum_range_must_start_at_zero():
+    spec = make_spec()
+    with pytest.raises(ValueError, match="range"):
+        tree.level_sum(spec, tree.keyed_lookup(spec), range(1, 5))
+
+
 def test_path_against_naive_differencing():
     # direct per-index accumulation with scalar lookups
     spec = make_spec(law=Gaussian(1.0), kmax=4, hurst=0.6, seed=5)
@@ -347,6 +380,23 @@ def test_csv_roundtrip_path():
     assert len(lines) == 18
     parsed = np.array([float(ln.split(",")[1]) for ln in lines[1:]])
     assert np.array_equal(parsed, x.values)  # repr round-trips exactly
+
+
+def unravel_field_csv(f):
+    """The per-value np.unravel_index writer: the byte reference for write_field_csv."""
+    lines = [",".join(f"i{a}" for a in range(f.spec.dim)) + ",value\n"]
+    for pos, v in enumerate(f.values.ravel()):
+        coords = np.unravel_index(pos, f.values.shape)
+        lines.append(",".join(str(int(c)) for c in coords) + f",{float(v)!r}\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("dim, side", [(2, 0), (2, 1), (2, 37), (3, 0), (3, 9), (1, 12)])
+def test_field_csv_bytes_match_unravel_writer(dim, side):
+    fp = tree.field(make_spec(law=SymmetricPareto(1.5), kmax=3, seed=8, dim=dim), side)
+    buf = io.StringIO()
+    tree.write_field_csv(fp, buf)
+    assert buf.getvalue() == unravel_field_csv(fp)
 
 
 def test_binary_roundtrip_path_and_field():
