@@ -188,16 +188,15 @@ def _cmd_analyze(args) -> int:
     reports = [dg.bohr_translation_set(f, eps, tau_max, distances=dist) for eps in epsilons]
     mgrid, mvals = dg.running_max(f)
 
-    outdir = FsPath(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     mod_rows = [(k, ctx.p ** k, om, err) for k, om, err in zip(ks, omegas, errors)]
-    scenarios.write_csv(outdir / "modulus.csv", ["K", "p_pow_K", "omega", "limit_periodic_error"], mod_rows)
     bohr_rows = [(eps, len(rep.taus), rep.max_gap) for eps, rep in zip(epsilons, reports)]
-    scenarios.write_csv(outdir / "bohr.csv", ["epsilon", "accepted_count", "max_gap"], bohr_rows)
     prof_rows = [(args.tau, L, w, b) for L, w, b in zip(grid, wp.estimates, bp.estimates)]
-    scenarios.write_csv(outdir / "profiles.csv", ["tau", "L", "weyl", "besicovitch"], prof_rows)
-    scenarios.write_csv(outdir / "running_max.csv", ["N", "running_max"], [(g, v) for g, v in zip(mgrid, mvals)])
-
+    tables = {
+        "modulus.csv": (["K", "p_pow_K", "omega", "limit_periodic_error"], mod_rows),
+        "bohr.csv": (["epsilon", "accepted_count", "max_gap"], bohr_rows),
+        "profiles.csv": (["tau", "L", "weyl", "besicovitch"], prof_rows),
+        "running_max.csv": (["N", "running_max"], list(zip(mgrid, mvals))),
+    }
     payload = {
         "version": __version__,
         "input": args.input,
@@ -211,10 +210,8 @@ def _cmd_analyze(args) -> int:
         "weyl_headline": wp.headline,
         "besicovitch_headline": bp.headline,
     }
-    with open(outdir / "analysis.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
-    print(f"[analyze] {horizon} values from {args.input}; wrote {outdir}/analysis.json")
+    scenarios.write_outputs(args.out, tables, "analysis.json", payload)
+    print(f"[analyze] {horizon} values from {args.input}; wrote {FsPath(args.out) / 'analysis.json'}")
     return EXIT_OK
 
 

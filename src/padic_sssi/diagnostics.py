@@ -192,6 +192,18 @@ def _window_grid_ok(grid, limit: int) -> tuple[int, ...]:
     return grid
 
 
+def _q_mean_profile(u, q: float, window_grid, window_sum) -> SeminormProfile:
+    """Per window length L, (window_sum(csum, L) / L)**(1/q), with csum the
+    running sums of |u|**q from a leading 0 (csum[L] sums the first L)."""
+    u = _as_series(u)
+    if not q >= 1:
+        raise ValueError(f"q must be at least 1, got {q}")
+    grid = _window_grid_ok(window_grid, u.horizon)
+    csum = np.concatenate([[0.0], np.cumsum(np.abs(u.values) ** q)])
+    estimates = tuple(float((window_sum(csum, L) / L) ** (1.0 / q)) for L in grid)
+    return SeminormProfile(q=float(q), window_grid=grid, estimates=estimates, headline=estimates[-1], horizon=u.horizon)
+
+
 def weyl_profile(u, q: float, window_grid) -> SeminormProfile:
     """Worst windowed q-mean of |u| per window length L.
 
@@ -199,41 +211,12 @@ def weyl_profile(u, q: float, window_grid) -> SeminormProfile:
     ((1/L) sum_{n=S}^{S+L-1} |u(n)|**q)**(1/q); the sliding max is the
     finite-horizon stand-in for the sup over all starts.
     """
-    u = _as_series(u)
-    if not q >= 1:
-        raise ValueError(f"q must be at least 1, got {q}")
-    grid = _window_grid_ok(window_grid, u.horizon)
-    powers = np.abs(u.values) ** q
-    csum = np.concatenate([[0.0], np.cumsum(powers)])
-    estimates = []
-    for L in grid:
-        windows = csum[L:] - csum[:-L]
-        estimates.append(float((np.max(windows) / L) ** (1.0 / q)))
-    return SeminormProfile(
-        q=float(q),
-        window_grid=grid,
-        estimates=tuple(estimates),
-        headline=estimates[-1],
-        horizon=u.horizon,
-    )
+    return _q_mean_profile(u, q, window_grid, lambda csum, L: np.max(csum[L:] - csum[:-L]))
 
 
 def besicovitch_profile(u, q: float, window_grid) -> SeminormProfile:
     """Prefix q-means of |u|: the window is anchored at 0."""
-    u = _as_series(u)
-    if not q >= 1:
-        raise ValueError(f"q must be at least 1, got {q}")
-    grid = _window_grid_ok(window_grid, u.horizon)
-    powers = np.abs(u.values) ** q
-    csum = np.cumsum(powers)
-    estimates = [float((csum[L - 1] / L) ** (1.0 / q)) for L in grid]
-    return SeminormProfile(
-        q=float(q),
-        window_grid=grid,
-        estimates=tuple(estimates),
-        headline=estimates[-1],
-        horizon=u.horizon,
-    )
+    return _q_mean_profile(u, q, window_grid, lambda csum, L: csum[L])
 
 
 def padic_modulus(f, ctx: PadicContext, K: int) -> float:

@@ -18,10 +18,12 @@ Each scenario maps one facet of the theory onto concrete tables:
 
 Each scenario has one table of the config keys its runner reads, with
 their defaults (DEFAULTS); a config naming any other key is refused.
-Every run embeds the resolved config and package version in summary.json
-and emits fixed-schema CSV tables.  Identical configs produce
-byte-identical outputs; replicate work is fanned out to a thread pool
-whose results are consumed in submission order.
+A runner only computes: it returns its fixed-schema CSV tables, its
+summary and its check failures, and run_scenario hands them to
+write_outputs, the one function that writes, together with a
+summary.json embedding the resolved config and package version.
+Identical configs produce byte-identical outputs; replicate work is fanned
+out to a thread pool whose results are consumed in submission order.
 """
 
 from __future__ import annotations
@@ -240,6 +242,8 @@ def resolve_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig
         raise ConfigError(str(exc)) from None
     if "tau_max" in cfg.params and cfg.tau_max >= cfg.horizon:
         raise ConfigError(f"tau_max={cfg.tau_max} must be below horizon={cfg.horizon}")
+    if scenario == "identity-suite" and cfg.kmax < 2:
+        raise ConfigError(f"kmax={cfg.kmax} must be at least 2: identity-suite's sublattice tests use K = 1 and 2")
     if scenario == "theorem-5-2" and not _k_below_horizon(cfg):
         raise ConfigError(f"k_list={list(cfg.k_list)} has no K with p**K below horizon={cfg.horizon}")
     if "window_grid" in cfg.params:
@@ -316,17 +320,24 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def write_csv(path: FsPath, header: list[str], rows: list[tuple]) -> None:
-    """One header line, then one comma-joined line per row; floats as repr.
+def write_outputs(outdir: str | FsPath, tables: dict, json_name: str, payload: dict) -> None:
+    """Write each table as a CSV and the payload as strict JSON under outdir.
 
-    Creates the file's directory, so a run that fails before its first
-    write leaves no output directory.
+    tables maps a file name to (header, rows): one header line, then one
+    comma-joined line per row, floats as repr.  The payload is serialized
+    before outdir is created, so a non-finite value raises ValueError and
+    leaves no output.
     """
-    FsPath(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    outdir = FsPath(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, (header, rows) in tables.items():
+        with open(outdir / name, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join(_fmt(v) for v in row) + "\n")
+    with open(outdir / json_name, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def require_finite_q(q: float, values, what: str) -> None:
@@ -354,7 +365,7 @@ def _demo_sequences(horizon: int) -> dict[str, np.ndarray]:
     }
 
 
-def run_hierarchy_demo(cfg: ExperimentConfig, outdir: FsPath) -> tuple[dict, list[str]]:
+def run_hierarchy_demo(cfg: ExperimentConfig) -> tuple[dict, dict, list[str]]:
     ctx = PadicContext(cfg.p)
     seqs = _demo_sequences(cfg.horizon)
     ks = list(itertools.takewhile(lambda K: cfg.p ** K < cfg.horizon, cfg.k_list))
@@ -367,9 +378,8 @@ def run_hierarchy_demo(cfg: ExperimentConfig, outdir: FsPath) -> tuple[dict, lis
         # modulus.csv keeps a repeated K; limit_periodic.csv lists each K once
         lp_rows += [(name, K, err) for K, err in dict(zip(ks, errors)).items()]
         dist = dg.translate_sup_profile(f, cfg.tau_max)
-        for eps in cfg.epsilons:
-            rep = dg.bohr_translation_set(f, eps, cfg.tau_max, distances=dist)
-            bohr_rows.append((name, eps, len(rep.taus), rep.max_gap))
+        reports = [dg.bohr_translation_set(f, eps, cfg.tau_max, distances=dist) for eps in cfg.epsilons]
+        bohr_rows += [(name, eps, len(rep.taus), rep.max_gap) for eps, rep in zip(cfg.epsilons, reports)]
         grid = _window_grid(cfg)
         for tau in (3, 4):
             u = dg.translate_diff(f, tau)
@@ -382,14 +392,14 @@ def run_hierarchy_demo(cfg: ExperimentConfig, outdir: FsPath) -> tuple[dict, lis
                 prof_rows.append((name, tau, L, wv, bv))
         summary["sequences"][name] = {
             "moduli": {str(K): om for K, om in zip(ks, omegas)},
-            "max_gap_at_first_epsilon": dg.bohr_translation_set(
-                f, cfg.epsilons[0], cfg.tau_max, distances=dist
-            ).max_gap,
+            "max_gap_at_first_epsilon": reports[0].max_gap,
         }
-    write_csv(outdir / "modulus.csv", ["sequence", "K", "p_pow_K", "omega"], mod_rows)
-    write_csv(outdir / "bohr.csv", ["sequence", "epsilon", "accepted_count", "max_gap"], bohr_rows)
-    write_csv(outdir / "profiles.csv", ["sequence", "tau", "L", "weyl", "besicovitch"], prof_rows)
-    write_csv(outdir / "limit_periodic.csv", ["sequence", "K", "sup_error"], lp_rows)
+    tables = {
+        "modulus.csv": (["sequence", "K", "p_pow_K", "omega"], mod_rows),
+        "bohr.csv": (["sequence", "epsilon", "accepted_count", "max_gap"], bohr_rows),
+        "profiles.csv": (["sequence", "tau", "L", "weyl", "besicovitch"], prof_rows),
+        "limit_periodic.csv": (["sequence", "K", "sup_error"], lp_rows),
+    }
 
     failures = []
     ind = summary["sequences"]["indicator3"]
@@ -400,14 +410,14 @@ def run_hierarchy_demo(cfg: ExperimentConfig, outdir: FsPath) -> tuple[dict, lis
         failures.append(
             f"indicator3 Bohr max_gap at epsilon={cfg.epsilons[0]} must be 3, got {ind['max_gap_at_first_epsilon']}"
         )
-    return summary, failures
+    return tables, summary, failures
 
 
 # ---------------------------------------------------------------------------
 # scenario: equivalence
 
 
-def run_equivalence(cfg: ExperimentConfig, outdir: FsPath) -> tuple[dict, list[str]]:
+def run_equivalence(cfg: ExperimentConfig) -> tuple[dict, dict, list[str]]:
     ctx = PadicContext(cfg.p)
     seeds = _replica_seeds(cfg, cfg.replicates)
     laws_by_name = {
@@ -446,7 +456,8 @@ def run_equivalence(cfg: ExperimentConfig, outdir: FsPath) -> tuple[dict, list[s
         lp_rows += rows_l
         bohr_rows += rows_b
         if law_name == "gaussian" and 0 in moduli and 8 in moduli:
-            ratio = moduli[8] / moduli[0]
+            # a constant path (omega(0) = 0, hence omega(8) = 0) has decayed fully
+            ratio = moduli[8] / moduli[0] if moduli[0] else 0.0
             gauss_ratios.append(ratio)
             if ratio <= 0.1:
                 decay_pass += 1
@@ -454,13 +465,11 @@ def run_equivalence(cfg: ExperimentConfig, outdir: FsPath) -> tuple[dict, list[s
             for _, si, K, eps, gap, bound in rows_b:
                 if gap > bound:
                     gap_violations.append((si, K, gap, bound))
-    write_csv(outdir / "modulus_curves.csv", ["law", "seed_index", "K", "omega"], mod_rows)
-    write_csv(outdir / "limit_periodic.csv", ["law", "seed_index", "K", "sup_error"], lp_rows)
-    write_csv(
-        outdir / "bohr_gaps.csv",
-        ["law", "seed_index", "K", "epsilon", "max_gap", "gap_bound"],
-        bohr_rows,
-    )
+    tables = {
+        "modulus_curves.csv": (["law", "seed_index", "K", "omega"], mod_rows),
+        "limit_periodic.csv": (["law", "seed_index", "K", "sup_error"], lp_rows),
+        "bohr_gaps.csv": (["law", "seed_index", "K", "epsilon", "max_gap", "gap_bound"], bohr_rows),
+    }
     summary = {
         "replicates": cfg.replicates,
         "gaussian_modulus_decay_pass": decay_pass,
@@ -474,14 +483,14 @@ def run_equivalence(cfg: ExperimentConfig, outdir: FsPath) -> tuple[dict, list[s
         )
     if gap_violations:
         failures.append(f"Bohr max_gap exceeded p**K in {len(gap_violations)} cases: {gap_violations[:5]}")
-    return summary, failures
+    return tables, summary, failures
 
 
 # ---------------------------------------------------------------------------
 # scenario: theorem-5-2
 
 
-def run_theorem_5_2(cfg: ExperimentConfig, outdir: FsPath) -> tuple[dict, list[str]]:
+def run_theorem_5_2(cfg: ExperimentConfig) -> tuple[dict, dict, list[str]]:
     requested = {"alpha": cfg.law.alpha, "hurst": cfg.hurst, "q": cfg.q}
     window = laws.pareto_alpha_window(cfg.hurst, cfg.q)
     in_window = window[0] < cfg.law.alpha < window[1]
@@ -563,10 +572,12 @@ def run_theorem_5_2(cfg: ExperimentConfig, outdir: FsPath) -> tuple[dict, list[s
             b_pass += 1
         if om8 >= 0.5 * om0:
             c_pass += 1
-    write_csv(outdir / "tail_bounds.csv", ["seed_index", "K", "weyl_tail_bound"], tail_rows)
-    write_csv(outdir / "translate_weyl.csv", ["seed_index", "K", "tau", "weyl_headline"], weyl_rows)
-    write_csv(outdir / "running_max.csv", ["seed_index", "N", "running_max"], rm_rows)
-    write_csv(outdir / "moduli.csv", ["seed_index", "K", "omega"], mod_rows)
+    tables = {
+        "tail_bounds.csv": (["seed_index", "K", "weyl_tail_bound"], tail_rows),
+        "translate_weyl.csv": (["seed_index", "K", "tau", "weyl_headline"], weyl_rows),
+        "running_max.csv": (["seed_index", "N", "running_max"], rm_rows),
+        "moduli.csv": (["seed_index", "K", "omega"], mod_rows),
+    }
 
     n = cfg.replicates
     summary = {
@@ -583,49 +594,37 @@ def run_theorem_5_2(cfg: ExperimentConfig, outdir: FsPath) -> tuple[dict, list[s
         failures.append(f"(b) running max M({cfg.horizon}) > 2*M(1024) held in {b_pass}/{n} (need >= 80%)")
     if c_pass < 0.8 * n:
         failures.append(f"(c) omega(8) >= 0.5*omega(0) held in {c_pass}/{n} (need >= 80%)")
-    return summary, failures
+    return tables, summary, failures
 
 
 # ---------------------------------------------------------------------------
 # scenario: identity-suite
 
 
-def run_identity_suite(cfg: ExperimentConfig, outdir: FsPath) -> tuple[dict, list[str]]:
+def run_identity_suite(cfg: ExperimentConfig) -> tuple[dict, dict, list[str]]:
     spec = cfg.tree_spec()
-    jobs = []
+    jobs = []  # (test, its keyword arguments, repetition)
     for rep in range(cfg.repetitions):
         for a in (1, 2, 3, 4):
             for n in (1, 3):
-                jobs.append(("scaling", {"a": a, "index": n}, rep))
+                jobs.append((identity.scaling_identity_test, {"a": a, "index": n}, rep))
         for shift in (1, 2, 5):
             for n in (1, 2):
-                jobs.append(("stationarity", {"shift": shift, "index": n}, rep))
+                jobs.append((identity.increment_stationarity_test, {"shift": shift, "index": n}, rep))
         for r in (0, 1):
             for K in (1, 2):
                 for u in (1, 3):
-                    jobs.append(("sublattice-matched", {"r": r, "K": K, "index": u, "mode": "matched"}, rep))
-        jobs.append(("sublattice-unmatched", {"r": 0, "K": 1, "index": 1, "mode": "unmatched"}, rep))
-        jobs.append(("projection-probe", {"indices": (1, 3), "weights": (1.0, 0.5), "a": 2}, rep))
+                    jobs.append((identity.sublattice_law_test, {"r": r, "K": K, "index": u, "mode": "matched"}, rep))
+        jobs.append((identity.sublattice_law_test, {"r": 0, "K": 1, "index": 1, "mode": "unmatched"}, rep))
+        jobs.append((identity.projection_probe_test, {"indices": (1, 3), "weights": (1.0, 0.5), "a": 2}, rep))
 
     def one(job):
-        kind, params, rep = job
-        if kind == "scaling":
-            return identity.scaling_identity_test(spec, params["a"], params["index"], cfg.mc_seeds, repetition=rep)
-        if kind == "stationarity":
-            return identity.increment_stationarity_test(
-                spec, params["shift"], params["index"], cfg.mc_seeds, repetition=rep
-            )
-        if kind.startswith("sublattice"):
-            return identity.sublattice_law_test(
-                spec, params["r"], params["K"], params["index"], cfg.mc_seeds, mode=params["mode"], repetition=rep
-            )
-        return identity.projection_probe_test(
-            spec, params["indices"], params["weights"], params["a"], cfg.mc_seeds, repetition=rep
-        )
+        test, params, rep = job
+        return test(spec, **params, seeds=cfg.mc_seeds, repetition=rep)
 
     reports = _map_ordered(one, jobs, effective_threads(cfg.threads))
     rows = []
-    for (kind, params, rep), report in zip(jobs, reports):
+    for (_, params, rep), report in zip(jobs, reports):
         detail = json.dumps({k: v for k, v in params.items() if k != "mode"}, sort_keys=True)
         rows.append(
             (
@@ -639,11 +638,7 @@ def run_identity_suite(cfg: ExperimentConfig, outdir: FsPath) -> tuple[dict, lis
                 "pass" if report.passed else "fail",
             )
         )
-    write_csv(
-        outdir / "identities.csv",
-        ["identity", "params", "repetition", "m", "n", "D", "threshold", "verdict"],
-        rows,
-    )
+    tables = {"identities.csv": (["identity", "params", "repetition", "m", "n", "D", "threshold", "verdict"], rows)}
     passed = sum(1 for r in reports if r.passed)
     summary = {
         "tests": len(reports),
@@ -655,14 +650,14 @@ def run_identity_suite(cfg: ExperimentConfig, outdir: FsPath) -> tuple[dict, lis
     failures = []
     if passed < 0.95 * len(reports):
         failures.append(f"identity pass rate {passed}/{len(reports)} below 95%")
-    return summary, failures
+    return tables, summary, failures
 
 
 # ---------------------------------------------------------------------------
 # scenario: field-demo
 
 
-def run_field_demo(cfg: ExperimentConfig, outdir: FsPath) -> tuple[dict, list[str]]:
+def run_field_demo(cfg: ExperimentConfig) -> tuple[dict, dict, list[str]]:
     ctx = PadicContext(cfg.p)
     side = cfg.horizon - 1
     seeds = _replica_seeds(cfg, cfg.replicates)
@@ -696,12 +691,13 @@ def run_field_demo(cfg: ExperimentConfig, outdir: FsPath) -> tuple[dict, list[st
         if any(b > a + 1e-12 for a, b in zip(omegas, omegas[1:])):
             monotone_ok = False
         covering_ok = covering_ok and cover_ok
-    write_csv(outdir / "field_moduli.csv", ["seed_index", "K", "omega"], mod_rows)
-    write_csv(
-        outdir / "field_translations.csv",
-        ["seed_index", "K", "epsilon", "accepted_count", "worst_empty_side", "covering_side"],
-        tr_rows,
-    )
+    tables = {
+        "field_moduli.csv": (["seed_index", "K", "omega"], mod_rows),
+        "field_translations.csv": (
+            ["seed_index", "K", "epsilon", "accepted_count", "worst_empty_side", "covering_side"],
+            tr_rows,
+        ),
+    }
     summary = {
         "replicates": cfg.replicates,
         "box_side": side,
@@ -713,7 +709,7 @@ def run_field_demo(cfg: ExperimentConfig, outdir: FsPath) -> tuple[dict, list[st
         failures.append("field modulus failed to be non-increasing in K")
     if not covering_ok:
         failures.append("accepted translation vectors failed to cover at side p**K")
-    return summary, failures
+    return tables, summary, failures
 
 
 # ---------------------------------------------------------------------------
@@ -734,13 +730,10 @@ def run_scenario(cfg: ExperimentConfig, check: bool = False) -> tuple[int, dict]
     Exit codes: 0 success, 3 resource cap, 4 failed checks in check mode.
     Config errors, a malformed PADIC_SSSI_THREADS and a q at which the
     runner's q-means overflow included, raise ConfigError before any output
-    exists and map to 2 in the CLI.
+    exists and map to 2 in the CLI; write_outputs is the only write.
     """
     effective_threads(cfg.threads)  # refuse a malformed PADIC_SSSI_THREADS first
-    outdir = FsPath(cfg.out_dir)
-    # every runner computes all its rows before its first write_csv, which
-    # creates outdir: a run refused on the way leaves no output
-    summary, failures = _RUNNERS[cfg.scenario](cfg, outdir)
+    tables, summary, failures = _RUNNERS[cfg.scenario](cfg)
     payload = {
         "scenario": cfg.scenario,
         "version": __version__,
@@ -749,10 +742,7 @@ def run_scenario(cfg: ExperimentConfig, check: bool = False) -> tuple[int, dict]
         "check_mode": bool(check),
         "check_failures": failures,
     }
-    outdir.mkdir(parents=True, exist_ok=True)
-    with open(outdir / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    write_outputs(cfg.out_dir, tables, "summary.json", payload)
     if check and failures:
         return 4, payload
     return 0, payload

@@ -98,6 +98,8 @@ TINY_DEMO = {"scenario": "hierarchy-demo", "horizon": 64, "tau_max": 16, "k_list
         ({"scenario": "theorem-5-2", "horizon": 8192, "window_grid": [1048576], "replicates": 1}, ("window_grid",)),
         # the shortest translate comes from the largest K, wherever it sits in k_list
         ({"scenario": "theorem-5-2", "horizon": 8192, "k_list": [12, 0], "window_grid": [5000]}, ("window_grid",)),
+        # identity-suite's sublattice tests use K = 1 and 2
+        ({"scenario": "identity-suite", "kmax": 1}, ("kmax", "identity-suite")),
     ],
 )
 def test_run_refuses_bad_keys_before_output(tmp_path, capsys, payload, named):

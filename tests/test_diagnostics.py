@@ -147,6 +147,28 @@ def test_weyl_q_scaling_constant():
         assert prof.estimates == pytest.approx([3.0, 3.0])
 
 
+# reference definitions: each profile computes its own running sums of |u|**q
+def _weyl_reference(values, q, grid):
+    csum = np.concatenate([[0.0], np.cumsum(np.abs(values) ** q)])
+    return [float((np.max(csum[L:] - csum[:-L]) / L) ** (1.0 / q)) for L in grid]
+
+
+def _besicovitch_reference(values, q, grid):
+    csum = np.cumsum(np.abs(values) ** q)
+    return [float((csum[L - 1] / L) ** (1.0 / q)) for L in grid]
+
+
+@given(st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=1, max_size=200), st.floats(1.0, 8.0), st.data())
+@settings(max_examples=60, deadline=None)
+def test_profiles_match_separate_pass_definitions(values, q, data):
+    values = np.array(values)
+    grid = sorted(data.draw(st.sets(st.integers(1, values.size), min_size=1)))
+    for profile, reference in ((dg.weyl_profile, _weyl_reference), (dg.besicovitch_profile, _besicovitch_reference)):
+        got, want = profile(values, q, grid), reference(values, q, grid)
+        assert [repr(v) for v in got.estimates] == [repr(v) for v in want]
+        assert repr(got.headline) == repr(want[-1])
+
+
 def test_padic_modulus_indicator():
     f = indicator3(256)
     for K in range(0, 7):

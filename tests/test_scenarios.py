@@ -117,6 +117,23 @@ def test_equivalence_small(tmp_path):
     assert len(lines) == 1 + 2 * 3 * 9  # two laws, three seeds, nine K values
 
 
+def test_equivalence_constant_replicate_passes_decay(tmp_path):
+    # at kmax 0, X_1 = xi_{0,1} - xi_{0,0} is 0 with probability 1/2 under the
+    # Rademacher law; such a replicate's path is constant, so omega(0) = 0 and
+    # its decay ratio reads 0.0 instead of dividing by zero
+    cfg = small_config(
+        "equivalence", tmp_path, law={"variant": "rademacher"}, kmax=0, horizon=512, tau_max=16, replicates=4
+    )
+    code, payload = scenarios.run_scenario(cfg, check=True)
+    assert code == 0, payload["check_failures"]
+    omegas = {}
+    for line in (tmp_path / "modulus_curves.csv").read_text().split()[1:]:
+        law, seed_index, _, omega = line.split(",")
+        omegas.setdefault((law, seed_index), []).append(omega)
+    assert any(all(om == "0.0" for om in oms) for (law, _), oms in omegas.items() if law == "gaussian")
+    assert 0.0 in payload["results"]["gaussian_modulus_ratios"]
+
+
 def test_theorem_5_2_small_runs_and_reports_mode(tmp_path):
     cfg = small_config("theorem-5-2", tmp_path, replicates=2, kmax=10, horizon=1 << 12, k_list=[0, 2, 4])
     code, payload = scenarios.run_scenario(cfg, check=False)
@@ -188,7 +205,14 @@ THREAD_CONFIGS = {
 
 
 @pytest.mark.parametrize("scenario", sorted(THREAD_CONFIGS))
-def test_threads_do_not_change_results(tmp_path, scenario):
+def test_threads_do_not_change_results(tmp_path, monkeypatch, scenario):
+    # a runner only computes: called directly in an empty working directory
+    # it creates no file, and its tables are the CSVs run_scenario writes
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    tables, _, _ = scenarios._RUNNERS[scenario](small_config(scenario, "out", **THREAD_CONFIGS[scenario]))
+    assert list(cwd.iterdir()) == []
     outputs = []
     for threads in (0, 1, 2):
         out = tmp_path / f"threads{threads}"
@@ -200,6 +224,19 @@ def test_threads_do_not_change_results(tmp_path, scenario):
     assert outputs[0][0], "scenario wrote no CSV"
     assert outputs[1] == outputs[0]
     assert outputs[2] == outputs[0]
+    assert set(tables) == set(outputs[0][0])
+
+
+def test_non_finite_summary_leaves_no_output(tmp_path, monkeypatch):
+    # write_outputs serializes the summary before it creates --out
+    def runner(cfg):
+        return {"rows.csv": (["x"], [(1.0,)])}, {"value": float("nan")}, []
+
+    monkeypatch.setitem(scenarios._RUNNERS, "field-demo", runner)
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        scenarios.run_scenario(small_config("field-demo", out))
+    assert not out.exists()
 
 
 def test_effective_threads_env_cap(monkeypatch):
