@@ -117,11 +117,6 @@ def translate_diff(f, tau: int) -> SeriesView:
     return SeriesView(values=v[tau:] - v[:-tau])
 
 
-def sup_translate_distance(f, tau: int) -> float:
-    """max |f(n+tau) - f(n)| over the horizon."""
-    return float(np.max(np.abs(translate_diff(f, tau).values)))
-
-
 def _shift_distances(values: np.ndarray, h_max: int) -> np.ndarray:
     """max |f(n+h) - f(n)| over in-box pairs, for every h in {0..h_max}**d.
 
@@ -142,7 +137,7 @@ def _shift_distances(values: np.ndarray, h_max: int) -> np.ndarray:
 
 
 def translate_sup_profile(f, tau_max: int) -> np.ndarray:
-    """sup_translate_distance for every tau = 1..tau_max, as one array.
+    """max |f(n+tau) - f(n)| over the horizon for every tau = 1..tau_max, as one array.
 
     Shared by translation-set queries at many epsilon values; index t-1
     holds the distance for shift t.

@@ -29,7 +29,6 @@ out to a thread pool whose results are consumed in submission order.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 import math
 import os
@@ -244,7 +243,7 @@ def resolve_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig
         raise ConfigError(f"tau_max={cfg.tau_max} must be below horizon={cfg.horizon}")
     if scenario == "identity-suite" and cfg.kmax < 2:
         raise ConfigError(f"kmax={cfg.kmax} must be at least 2: identity-suite's sublattice tests use K = 1 and 2")
-    if scenario == "theorem-5-2" and not _k_below_horizon(cfg):
+    if "k_list" in cfg.params and not _k_below_horizon(cfg):
         raise ConfigError(f"k_list={list(cfg.k_list)} has no K with p**K below horizon={cfg.horizon}")
     if "window_grid" in cfg.params:
         # the shortest translate the runner takes windows over
@@ -258,7 +257,7 @@ def resolve_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig
                 f" {shortest} points at horizon={cfg.horizon}"
             )
     # the runner's largest request: the five demo sequences, the full level
-    # periods theorem-5-2 holds plus its path, or one path or field
+    # periods theorem-5-2 draws plus its path, or one path or field
     if scenario == "hierarchy-demo":
         tree.check_cap(None, 0, 5 * cfg.horizon)
     elif scenario == "theorem-5-2":
@@ -368,7 +367,7 @@ def _demo_sequences(horizon: int) -> dict[str, np.ndarray]:
 def run_hierarchy_demo(cfg: ExperimentConfig) -> tuple[dict, dict, list[str]]:
     ctx = PadicContext(cfg.p)
     seqs = _demo_sequences(cfg.horizon)
-    ks = list(itertools.takewhile(lambda K: cfg.p ** K < cfg.horizon, cfg.k_list))
+    ks = _k_below_horizon(cfg)
     mod_rows, bohr_rows, prof_rows, lp_rows = [], [], [], []
     summary: dict = {"sequences": {}}
     for name, values in seqs.items():
@@ -517,18 +516,16 @@ def run_theorem_5_2(cfg: ExperimentConfig) -> tuple[dict, dict, list[str]]:
 
     def one(seed_index: int):
         spec = TreeSpec(p=cfg.p, hurst=hurst, kmax=cfg.kmax, law=law, seed=int(seeds[seed_index]), dim=1)
-        # one full period per level, held one level at a time: the path and
-        # the level q-means B_{k,q} come from the same draws
-        held: dict[int, np.ndarray] = {}
+        # level_sum asks each level once: its full period gives the level
+        # q-mean B_{k,q}, and a view of it gives the path's box
+        box = tree.keyed_lookup(spec)
         b: dict[int, float] = {}
 
-        def xi(k: int, residues) -> np.ndarray:
-            if k not in held:
-                held.clear()
-                held[k] = arr = tree.level_values(spec, k, np.arange(spec.level_modulus(k), dtype=np.int64))
-                with np.errstate(over="ignore"):
-                    b[k] = identity.level_average_B(arr, q)
-            return held[k][residues]
+        def xi(k: int, residues: slice) -> np.ndarray:
+            arr = box(k, slice(0, spec.level_modulus(k)))
+            with np.errstate(over="ignore"):
+                b[k] = identity.level_average_B(arr, q)
+            return arr[residues]
 
         f = dg.SeriesView(tree.level_sum(spec, xi, range(cfg.horizon)))
         tail_rows, weyl_rows = [], []
@@ -661,7 +658,7 @@ def run_field_demo(cfg: ExperimentConfig) -> tuple[dict, dict, list[str]]:
     ctx = PadicContext(cfg.p)
     side = cfg.horizon - 1
     seeds = _replica_seeds(cfg, cfg.replicates)
-    usable_k = [K for K in cfg.k_list if cfg.p ** K <= side]
+    usable_k = _k_below_horizon(cfg)
 
     def one(seed_index: int):
         fp = tree.field(cfg.tree_spec(seeds[seed_index]), side)

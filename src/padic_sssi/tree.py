@@ -14,8 +14,10 @@ larger Kmax without disturbing existing levels.
 
 Every evaluation (paths, pointwise values, fields) is one call of
 level_sum with the keyed per-level lookup keyed_lookup, so all of them
-combine the same addressed draws in the same order.  build_levels
-materializes the levels densely as the bitwise oracle for them.
+combine the same addressed draws in the same order.  A contiguous box asks
+each level once, for the slice of its box; arbitrary points ask for their
+residues.  build_levels materializes the levels densely as the bitwise
+oracle for them.
 
 Sublattice increments X_{r + p**K u} - X_r are summed over levels k >= K
 only: a step of p**K leaves residues mod p**(k+1) unchanged for every
@@ -183,19 +185,23 @@ def level_sum(spec: TreeSpec, xi, points, base=0, k_lo: int = 0) -> np.ndarray:
     added from the smallest weight up, which keeps the float accumulation
     error tiny and fixes the summation order every caller shares.
 
-    `points` may also be range(n), the contiguous box [0, n) (on every axis
-    when the lookup returns a box).  Each level is then looked up at its
-    r = min(p**(k+1), n) residues only, and its term is added once per
-    period: the same floats as the gather over the n points, without it.
+    `points` may also be range(n) at base 0, the contiguous box [0, n) on
+    every axis of the lookup.  Level k is then asked once, for its box
+    xi(k, slice(0, r)) with r = min(p**(k+1), n); its base is the box
+    corner, and its term is added once per period: the same floats as the
+    gather over the n points, without it.
     """
     box = isinstance(points, range)
-    if box and points != range(len(points)):
-        raise ValueError(f"a range of points must be range(n), got {points!r}")
+    if box and (points != range(len(points)) or np.any(base)):
+        raise ValueError(f"a range of points must be range(n) at base 0, got {points!r} at base {base!r}")
     acc = None
     for k in range(spec.kmax, k_lo - 1, -1):
         m = spec.level_modulus(k)
-        residues = np.arange(min(m, len(points)), dtype=np.int64) if box else points % m
-        term = spec.weight(k) * (xi(k, residues) - xi(k, base % m))
+        if box:
+            vals = xi(k, slice(0, min(m, len(points))))
+            term = spec.weight(k) * (vals - vals[(0,) * vals.ndim])
+        else:
+            term = spec.weight(k) * (xi(k, points % m) - xi(k, base % m))
         if acc is None:
             acc = np.zeros((len(points),) * term.ndim if box else np.shape(term), dtype=np.float64)
         if box:
@@ -226,31 +232,20 @@ def _add_periodic(acc: np.ndarray, term: np.ndarray) -> None:
 def keyed_lookup(spec: TreeSpec, seeds=None):
     """Lookup xi(k, residues) drawing addressed values, at spec.seed or at `seeds`.
 
-    For dim >= 2 the residues index every axis: the lookup returns xi over
-    the box residues**dim.  At a single seed, every lookup for dim >= 2, and
-    a lookup with at least n = min(p**(k+1), largest residue + 1) residues,
-    draws the box [0, n)**dim in one call and gathers from it.  The box is
-    held until the next level, so the level's base lookup reads it too and
-    no address is drawn twice.  Sparse residues and seed arrays draw
-    exactly the addresses asked for.
+    A slice(0, r) draws the box [0, r)**dim, with shape (r,) * dim, in one
+    call at spec.seed.  An array of residues (dim = 1 only) draws exactly
+    the addresses asked for, broadcast against `seeds`.
     """
     seed = spec.seed if seeds is None else np.asarray(seeds, dtype=np.uint64)
-    single_seed = np.ndim(seed) == 0
-    held: dict[int, np.ndarray] = {}
 
     def xi(k: int, residues) -> np.ndarray:
-        if not single_seed:
-            return laws.keyed_values(spec.law, seed, k, residues)
-        r = np.asarray(residues)
-        top = int(r.max()) + 1 if r.size else 0
-        block = held.get(k)
-        if block is None or top > len(block):
-            n = min(spec.level_modulus(k), top)
-            if spec.dim == 1 and r.size < n:
-                return laws.keyed_values(spec.law, seed, k, r)
-            held.clear()
-            held[k] = block = _box_values(spec, k, n)
-        return block[np.ix_(*[np.atleast_1d(r)] * spec.dim)] if spec.dim > 1 else block[r]
+        if isinstance(residues, slice):
+            if seeds is not None:
+                raise ValueError("a box slice(0, r) is drawn at spec.seed; seed arrays need residue arrays")
+            return _box_values(spec, k, residues.stop)
+        if spec.dim != 1:
+            raise ValueError(f"residue arrays need dim=1; ask dim={spec.dim} for a box slice(0, r)")
+        return laws.keyed_values(spec.law, seed, k, residues)
 
     return xi
 
@@ -274,10 +269,6 @@ class FieldPath:
 
     def grid(self) -> np.ndarray:
         return self.values
-
-    def flat(self) -> np.ndarray:
-        """The values over {0..side}**dim in lexicographic order of the index tuples."""
-        return self.values.ravel()
 
 
 def lazy_path(spec: TreeSpec, horizon: int) -> Path:
@@ -368,7 +359,7 @@ def write_binary(obj: Path | FieldPath, stream: io.BufferedIOBase) -> None:
     if isinstance(obj, Path):
         kind, extent, values = _KIND_PATH, obj.horizon, obj.values
     elif isinstance(obj, FieldPath):
-        kind, extent, values = _KIND_FIELD, obj.side, obj.flat()
+        kind, extent, values = _KIND_FIELD, obj.side, obj.values.ravel()
     else:
         raise TypeError(f"expected Path or FieldPath, got {obj!r}")
     blob = _spec_json_bytes(obj.spec)

@@ -100,6 +100,10 @@ TINY_DEMO = {"scenario": "hierarchy-demo", "horizon": 64, "tau_max": 16, "k_list
         ({"scenario": "theorem-5-2", "horizon": 8192, "k_list": [12, 0], "window_grid": [5000]}, ("window_grid",)),
         # identity-suite's sublattice tests use K = 1 and 2
         ({"scenario": "identity-suite", "kmax": 1}, ("kmax", "identity-suite")),
+        # every scenario that reads k_list needs a K with p**K below the horizon
+        ({"scenario": "field-demo", "k_list": [7], "replicates": 1}, ("k_list",)),
+        ({"scenario": "hierarchy-demo", "horizon": 512, "tau_max": 40, "k_list": [12]}, ("k_list",)),
+        ({"scenario": "equivalence", "k_list": [20], "horizon": 4096, "replicates": 2, "tau_max": 64}, ("k_list",)),
     ],
 )
 def test_run_refuses_bad_keys_before_output(tmp_path, capsys, payload, named):

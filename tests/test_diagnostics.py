@@ -38,12 +38,16 @@ def test_series_view_validation():
         view.values[0] = 1.0  # stored read-only
 
 
+def sup_translate_distance(f, tau):
+    """max |f(n+tau) - f(n)| over the horizon: the one-shift oracle for translate_sup_profile."""
+    return float(np.max(np.abs(dg.translate_diff(f, tau).values)))
+
+
 def test_sup_translate_distance_indicator():
     f = indicator3(300)
-    assert dg.sup_translate_distance(f, 3) == 0.0
-    assert dg.sup_translate_distance(f, 1) == 1.0
-    assert dg.sup_translate_distance(f, 6) == 0.0
-    assert dg.sup_translate_distance(f, 2) == 1.0
+    profile = dg.translate_sup_profile(f, 6)
+    for tau, want in ((3, 0.0), (1, 1.0), (6, 0.0), (2, 1.0)):
+        assert sup_translate_distance(f, tau) == profile[tau - 1] == want
 
 
 def test_translate_sup_profile_matches_scalar():
@@ -51,7 +55,7 @@ def test_translate_sup_profile_matches_scalar():
     profile = dg.translate_sup_profile(f, 20)
     assert profile.shape == (20,)
     for tau in range(1, 21):
-        assert profile[tau - 1] == dg.sup_translate_distance(f, tau)
+        assert profile[tau - 1] == sup_translate_distance(f, tau)
 
 
 def test_bohr_set_indicator_example():

@@ -64,7 +64,7 @@ def test_resolve_config_rejections():
     [
         ({"scenario": "hierarchy-demo", "horizon": 1 << 30}, "5368709120 stored entries exceed"),  # 5 sequences
         ({"scenario": "equivalence", "horizon": 1 << 26}, "level 0"),  # one 2**26-point path
-        ({"scenario": "theorem-5-2", "kmax": 30}, "level 23"),  # held periods 2**1..2**24 plus the path
+        ({"scenario": "theorem-5-2", "kmax": 30}, "level 23"),  # full periods 2**1..2**24 plus the path
         ({"scenario": "field-demo", "horizon": 6000}, "level 0"),  # a 6000**2 box
     ],
 )
@@ -103,6 +103,13 @@ def test_hierarchy_demo_small(tmp_path):
     assert summary["version"]
     ind = summary["results"]["sequences"]["indicator3"]
     assert all(v == 1.0 for v in ind["moduli"].values())
+
+
+def test_hierarchy_demo_skips_only_the_ks_at_or_above_the_horizon(tmp_path):
+    # a K with p**K >= horizon is dropped wherever it sits in k_list
+    cfg = small_config("hierarchy-demo", tmp_path, horizon=512, tau_max=40, k_list=[12, 0, 1])
+    _, summary, _ = scenarios.run_hierarchy_demo(cfg)
+    assert list(summary["sequences"]["indicator3"]["moduli"]) == ["0", "1"]
 
 
 def test_equivalence_small(tmp_path):

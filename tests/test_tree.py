@@ -20,12 +20,18 @@ def make_spec(p=2, hurst=1.0, kmax=3, law=None, seed=12345, dim=1):
 
 
 def dense_sum(spec, levels, points, base=0, k_lo=0):
-    """The level sum over build_levels' dense arrays: the bitwise oracle."""
-    if spec.dim == 1:
-        return tree.level_sum(spec, lambda k, r: levels[k][r], points, base=base, k_lo=k_lo)
-    return tree.level_sum(
-        spec, lambda k, r: levels[k][np.ix_(*[np.atleast_1d(r)] * spec.dim)], points, base=base, k_lo=k_lo
-    )
+    """The level sum over build_levels' dense arrays: the bitwise oracle.
+
+    A box slice(0, r) reads levels[k][:r, ..., :r]; at dim >= 2 an array of
+    residues indexes every axis.
+    """
+
+    def xi(k, r):
+        if isinstance(r, slice) or spec.dim == 1:
+            return levels[k][(r,) * spec.dim]
+        return levels[k][np.ix_(*[np.atleast_1d(r)] * spec.dim)]
+
+    return tree.level_sum(spec, xi, points, base=base, k_lo=k_lo)
 
 
 def test_level_sizes_example():
@@ -105,8 +111,8 @@ def test_rademacher_single_level_support():
 )
 @settings(max_examples=40, deadline=None)
 def test_lazy_matches_dense_bitwise(p, kmax, law, beyond_period, data):
-    # horizons on both sides of the deepest period p**(kmax+1) reach both the
-    # gathered and the directly drawn lookups of lazy_path
+    # horizons on both sides of the deepest period p**(kmax+1): the deepest
+    # levels' boxes are cut short, or every level adds whole periods
     spec = make_spec(p=p, kmax=kmax, law=law, hurst=0.7, seed=data.draw(st.integers(0, 2**64 - 1)))
     period = spec.level_modulus(kmax)
     horizon = data.draw(st.integers(period + 1, 2 * period) if beyond_period else st.integers(1, period))
@@ -154,20 +160,20 @@ def test_field_matches_dense_bitwise(p, dim, law, beyond_period, data):
 @settings(max_examples=60, deadline=None)
 def test_level_sum_range_matches_gather_bitwise(p, dim, law, data):
     # range(n) adds each level once per period; the gather over np.arange(n)
-    # is its reference, for n below p and off every period, at any base and
-    # lowest level, through the dense oracle and the keyed lookup alike
+    # is its reference, for n below p and off every period, at any lowest
+    # level, through the dense oracle and the keyed lookup alike (a range is
+    # taken at base 0 only)
     kmax = data.draw(st.integers(0, 4 if dim == 1 else 2 if p < 5 else 1))
     spec = make_spec(p=p, kmax=kmax, law=law, hurst=0.7, dim=dim, seed=data.draw(st.integers(0, 2**64 - 1)))
     period = spec.level_modulus(kmax)
     n = data.draw(st.one_of(st.integers(1, p - 1), st.integers(p, 2 * period + p)))
-    base = data.draw(st.integers(0, 3 * period))
     k_lo = data.draw(st.integers(0, kmax))
     levels = tree.build_levels(spec)
-    want = dense_sum(spec, levels, np.arange(n), base=base, k_lo=k_lo)
+    want = dense_sum(spec, levels, np.arange(n), k_lo=k_lo)
     assert want.shape == (n,) * dim
     for got in (
-        dense_sum(spec, levels, range(n), base=base, k_lo=k_lo),
-        tree.level_sum(spec, tree.keyed_lookup(spec), range(n), base=base, k_lo=k_lo),
+        dense_sum(spec, levels, range(n), k_lo=k_lo),
+        tree.level_sum(spec, tree.keyed_lookup(spec), range(n), k_lo=k_lo),
     ):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -176,6 +182,33 @@ def test_level_sum_range_must_start_at_zero():
     spec = make_spec()
     with pytest.raises(ValueError, match="range"):
         tree.level_sum(spec, tree.keyed_lookup(spec), range(1, 5))
+    with pytest.raises(ValueError, match="base 0"):
+        tree.level_sum(spec, tree.keyed_lookup(spec), range(5), base=3)
+
+
+@pytest.mark.parametrize("p, dim, kmax, n", [(2, 1, 4, 1), (2, 1, 4, 11), (3, 1, 2, 40), (2, 2, 3, 5), (3, 2, 1, 12)])
+def test_level_sum_asks_each_level_once_for_its_box(p, dim, kmax, n):
+    # on range(n), level k is asked once, for slice(0, min(p**(k+1), n)),
+    # from kmax down to k_lo
+    spec = make_spec(p=p, kmax=kmax, dim=dim)
+    lookup = tree.keyed_lookup(spec)
+    for k_lo in range(kmax + 1):
+        asked = []
+
+        def spy(k, residues):
+            asked.append((k, residues))
+            return lookup(k, residues)
+
+        tree.level_sum(spec, spy, range(n), k_lo=k_lo)
+        assert asked == [(k, slice(0, min(p ** (k + 1), n))) for k in range(kmax, k_lo - 1, -1)]
+
+
+def test_keyed_lookup_refusals():
+    # residue arrays are dim 1 only; a box is drawn at spec.seed only
+    with pytest.raises(ValueError, match="dim=1"):
+        tree.keyed_lookup(make_spec(dim=2))(1, np.arange(3))
+    with pytest.raises(ValueError, match="seed arrays"):
+        tree.keyed_lookup(make_spec(), seeds=np.arange(4))(1, slice(0, 4))
 
 
 def test_path_against_naive_differencing():
@@ -346,8 +379,8 @@ def test_keyed_requests_refuse_over_cap_before_drawing(monkeypatch):
     [(2, 1, 16, 1 << 12), (3, 1, 4, 100), (2, 2, 4, 64), (2, 2, 12, 16), (3, 2, 2, 20), (2, 3, 2, 5)],
 )
 def test_one_keyed_draw_per_level(monkeypatch, p, dim, kmax, extent):
-    # each level draws the box [0, min(p**(k+1), extent))**dim once; the
-    # base lookup reads the held box
+    # each level draws the box [0, min(p**(k+1), extent))**dim once; its
+    # base is the box corner, so no address is drawn twice
     calls = []
     real = laws.keyed_values
 
