@@ -9,6 +9,8 @@ finite slice f(0..N-1) of a real sequence:
   and its uniform error;
 * Weyl / Besicovitch: windowed q-means of a translate difference, with the
   window either sliding (Weyl, worst window) or anchored at 0 (Besicovitch);
+  a q at which the sum of |u|**q overflows float64 raises ConfigError
+  naming q, the one rule every caller shares;
 * p-adic continuity: the modulus omega(K) = worst |f(n + p**K u) - f(n)|,
   from the per-class (max, min) over residue classes mod p**K.
 
@@ -30,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .padic import PadicContext, checked_modulus
 
 # refuse field translation searches over more candidate vectors than this
@@ -189,12 +192,19 @@ def _window_grid_ok(grid, limit: int) -> tuple[int, ...]:
 
 def _q_mean_profile(u, q: float, window_grid, window_sum) -> SeminormProfile:
     """Per window length L, (window_sum(csum, L) / L)**(1/q), with csum the
-    running sums of |u|**q from a leading 0 (csum[L] sums the first L)."""
+    running sums of |u|**q from a leading 0 (csum[L] sums the first L).
+
+    The running sums never decrease, so every window is finite exactly when
+    csum[-1] is; if it overflows, ConfigError names q before any window forms.
+    """
     u = _as_series(u)
     if not q >= 1:
         raise ValueError(f"q must be at least 1, got {q}")
     grid = _window_grid_ok(window_grid, u.horizon)
-    csum = np.concatenate([[0.0], np.cumsum(np.abs(u.values) ** q)])
+    with np.errstate(over="ignore"):
+        csum = np.concatenate([[0.0], np.cumsum(np.abs(u.values) ** q)])
+    if not np.isfinite(csum[-1]):
+        raise ConfigError(f"q={float(q)}: the sum of |u|**q overflows float64; choose a smaller q")
     estimates = tuple(float((window_sum(csum, L) / L) ** (1.0 / q)) for L in grid)
     return SeminormProfile(q=float(q), window_grid=grid, estimates=estimates, headline=estimates[-1], horizon=u.horizon)
 
@@ -204,13 +214,14 @@ def weyl_profile(u, q: float, window_grid) -> SeminormProfile:
 
     For each L the estimate is max over starts S of
     ((1/L) sum_{n=S}^{S+L-1} |u(n)|**q)**(1/q); the sliding max is the
-    finite-horizon stand-in for the sup over all starts.
+    finite-horizon stand-in for the sup over all starts.  Raises
+    ConfigError naming q when the sum of |u|**q overflows float64.
     """
     return _q_mean_profile(u, q, window_grid, lambda csum, L: np.max(csum[L:] - csum[:-L]))
 
 
 def besicovitch_profile(u, q: float, window_grid) -> SeminormProfile:
-    """Prefix q-means of |u|: the window is anchored at 0."""
+    """Prefix q-means of |u|, the window anchored at 0; refuses q exactly as weyl_profile does."""
     return _q_mean_profile(u, q, window_grid, lambda csum, L: csum[L])
 
 

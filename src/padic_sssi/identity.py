@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import laws, rng, tree
+from .errors import ConfigError
 from .padic import PadicContext
 from .tree import TreeSpec
 
@@ -249,10 +250,17 @@ def projection_probe_test(
 
 
 def level_average_B(values, q: float) -> float:
-    """B_{k,q} = (p**-(k+1) sum_r |xi_{k, r}|**q)**(1/q) over one level's full period of values."""
+    """B_{k,q} = (p**-(k+1) sum_r |xi_{k, r}|**q)**(1/q) over one level's full period of values.
+
+    Raises ConfigError naming q when the mean of |xi|**q overflows float64.
+    """
     if not q >= 1:
         raise ValueError(f"q must be at least 1, got {q}")
-    return float(np.mean(np.abs(values) ** q) ** (1.0 / q))
+    with np.errstate(over="ignore"):
+        mean = np.mean(np.abs(values) ** q)
+    if not np.isfinite(mean):
+        raise ConfigError(f"q={float(q)}: the level q-mean B_{{k,q}} overflows float64; choose a smaller q")
+    return float(mean ** (1.0 / q))
 
 
 def weyl_tail_bound(spec: TreeSpec, b, K: int) -> float:

@@ -9,6 +9,7 @@ counter-based generator in `rng`.
 Heavy-tail bookkeeping used elsewhere:
 
 * mean_abs(law) is E|xi| (Pareto requires alpha > 1 for finiteness);
+* max_abs(law) is the largest |xi| a keyed draw can return;
 * a layered-noise series with Hurst index H converges in an L^q sense for
   the Pareto law precisely when alpha falls in the open window
   (1/(H + 1/q), 1/H), which pareto_alpha_window reports.
@@ -104,6 +105,22 @@ def mean_abs(law: IncrementLaw) -> float:
         return law.alpha / (law.alpha - 1.0)
     if isinstance(law, Gaussian):
         return law.sigma * math.sqrt(2.0 / math.pi)
+    if isinstance(law, Rademacher):
+        return 1.0
+    raise TypeError(f"unknown increment law {law!r}")
+
+
+def max_abs(law: IncrementLaw) -> float:
+    """The largest |xi| a keyed draw can return, from the extreme generator words.
+
+    Gaussian: ndtri of uniform_open's extremes is -8.2924 and 8.2095, so
+    8.30 sigma bounds every draw.  Pareto: uniform_open_closed's smallest
+    value 2**-53 gives 2**(53/alpha), or inf once that overflows float64.
+    """
+    if isinstance(law, SymmetricPareto):
+        return 2.0 ** (53.0 / law.alpha) if 53.0 / law.alpha < 1024 else math.inf
+    if isinstance(law, Gaussian):
+        return 8.30 * law.sigma
     if isinstance(law, Rademacher):
         return 1.0
     raise TypeError(f"unknown increment law {law!r}")

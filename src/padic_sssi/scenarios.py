@@ -339,12 +339,6 @@ def write_outputs(outdir: str | FsPath, tables: dict, json_name: str, payload: d
         fh.write(text)
 
 
-def require_finite_q(q: float, values, what: str) -> None:
-    """Refuse a q at which a q-mean overflowed float64: ConfigError naming q."""
-    if not np.isfinite(values).all():
-        raise ConfigError(f"q={q}: {what} overflow float64; choose a smaller q")
-
-
 def _replica_seeds(cfg: ExperimentConfig, count: int) -> np.ndarray:
     return rng.derive_seed(cfg.seed, _PURPOSE_REPLICA, np.arange(count, dtype=np.uint64))
 
@@ -383,12 +377,9 @@ def run_hierarchy_demo(cfg: ExperimentConfig) -> tuple[dict, dict, list[str]]:
         for tau in (3, 4):
             u = dg.translate_diff(f, tau)
             g = [L for L in grid if L <= u.horizon]
-            with np.errstate(over="ignore", invalid="ignore"):
-                wp = dg.weyl_profile(u, cfg.q, g)
-                bp = dg.besicovitch_profile(u, cfg.q, g)
-            require_finite_q(cfg.q, wp.estimates + bp.estimates, f"the sums of |u|**q for sequence {name}")
-            for L, wv, bv in zip(g, wp.estimates, bp.estimates):
-                prof_rows.append((name, tau, L, wv, bv))
+            wp = dg.weyl_profile(u, cfg.q, g)
+            bp = dg.besicovitch_profile(u, cfg.q, g)
+            prof_rows += [(name, tau, L, wv, bv) for L, wv, bv in zip(g, wp.estimates, bp.estimates)]
         summary["sequences"][name] = {
             "moduli": {str(K): om for K, om in zip(ks, omegas)},
             "max_gap_at_first_epsilon": reports[0].max_gap,
@@ -433,15 +424,9 @@ def run_equivalence(cfg: ExperimentConfig) -> tuple[dict, dict, list[str]]:
         f = dg.SeriesView(tree.lazy_path(spec, cfg.horizon).values)
         dist = dg.translate_sup_profile(f, cfg.tau_max)
         omegas, errors = dg.modulus_curve(f, ctx, modulus_k)
-        rows_m = [(law_name, seed_index, K, om) for K, om in zip(modulus_k, omegas)]
-        rows_l = [(law_name, seed_index, K, err) for K, err in zip(modulus_k, errors)]
-        rows_b = []
         moduli = dict(zip(modulus_k, omegas))
-        for K in bohr_k:
-            eps = moduli[K] + 1e-6
-            rep = dg.bohr_translation_set(f, eps, cfg.tau_max, distances=dist)
-            rows_b.append((law_name, seed_index, K, eps, rep.max_gap, cfg.p ** K))
-        return rows_m, rows_l, rows_b, (law_name, seed_index, moduli)
+        gaps = [dg.bohr_translation_set(f, moduli[K] + 1e-6, cfg.tau_max, distances=dist).max_gap for K in bohr_k]
+        return omegas, errors, gaps
 
     jobs = [(ln, i) for ln in laws_by_name for i in range(cfg.replicates)]
     results = _map_ordered(one, jobs, effective_threads(cfg.threads))
@@ -450,20 +435,20 @@ def run_equivalence(cfg: ExperimentConfig) -> tuple[dict, dict, list[str]]:
     decay_pass = 0
     gap_violations = []
     gauss_ratios = []
-    for rows_m, rows_l, rows_b, (law_name, seed_index, moduli) in results:
-        mod_rows += rows_m
-        lp_rows += rows_l
-        bohr_rows += rows_b
+    for (law_name, seed_index), (omegas, errors, gaps) in zip(jobs, results):
+        mod_rows += [(law_name, seed_index, K, om) for K, om in zip(modulus_k, omegas)]
+        lp_rows += [(law_name, seed_index, K, err) for K, err in zip(modulus_k, errors)]
+        moduli = dict(zip(modulus_k, omegas))
+        for K, gap in zip(bohr_k, gaps):
+            bohr_rows.append((law_name, seed_index, K, moduli[K] + 1e-6, gap, cfg.p ** K))
+            if law_name == "gaussian" and gap > cfg.p ** K:
+                gap_violations.append((seed_index, K, gap, cfg.p ** K))
         if law_name == "gaussian" and 0 in moduli and 8 in moduli:
             # a constant path (omega(0) = 0, hence omega(8) = 0) has decayed fully
             ratio = moduli[8] / moduli[0] if moduli[0] else 0.0
             gauss_ratios.append(ratio)
             if ratio <= 0.1:
                 decay_pass += 1
-        if law_name == "gaussian":
-            for _, si, K, eps, gap, bound in rows_b:
-                if gap > bound:
-                    gap_violations.append((si, K, gap, bound))
     tables = {
         "modulus_curves.csv": (["law", "seed_index", "K", "omega"], mod_rows),
         "limit_periodic.csv": (["law", "seed_index", "K", "sup_error"], lp_rows),
@@ -523,42 +508,29 @@ def run_theorem_5_2(cfg: ExperimentConfig) -> tuple[dict, dict, list[str]]:
 
         def xi(k: int, residues: slice) -> np.ndarray:
             arr = box(k, slice(0, spec.level_modulus(k)))
-            with np.errstate(over="ignore"):
-                b[k] = identity.level_average_B(arr, q)
+            b[k] = identity.level_average_B(arr, q)
             return arr[residues]
 
         f = dg.SeriesView(tree.level_sum(spec, xi, range(cfg.horizon)))
-        tail_rows, weyl_rows = [], []
         bounds, heads = {}, {}
         for K in usable_k:
-            bound = identity.weyl_tail_bound(spec, b, K)
-            bounds[K] = bound
-            tail_rows.append((seed_index, K, bound))
-            tau = cfg.p ** K
-            u = dg.translate_diff(f, tau)
-            # only the headline is reported: the window at the largest L that fits
-            with np.errstate(over="ignore", invalid="ignore"):
-                head = dg.weyl_profile(u, q, [L for L in grid if L <= u.horizon][-1:]).headline
-            heads[K] = head
-            weyl_rows.append((seed_index, K, tau, head))
-        require_finite_q(q, list(bounds.values()), "the level q-means B_{k,q}")
-        require_finite_q(q, list(heads.values()), "the sums of |u|**q")
-        mgrid, mvals = dg.running_max(f)
-        rm_rows = [(seed_index, N, v) for N, v in zip(mgrid, mvals)]
+            bounds[K] = identity.weyl_tail_bound(spec, b, K)
+            # one translate at a time bounds peak memory; only the headline, at the largest L that fits, is reported
+            u = dg.translate_diff(f, cfg.p ** K)
+            heads[K] = dg.weyl_profile(u, q, [L for L in grid if L <= u.horizon][-1:]).headline
         (om0, om8), _ = dg.modulus_curve(f, ctx, [0, 8])
-        mod_rows = [(seed_index, 0, om0), (seed_index, 8, om8)]
-        return tail_rows, weyl_rows, rm_rows, mod_rows, bounds, heads, (mgrid, mvals), (om0, om8)
+        return bounds, heads, dg.running_max(f), (om0, om8)
 
     results = _map_ordered(one, list(range(cfg.replicates)), effective_threads(cfg.threads))
 
     tail_rows, weyl_rows, rm_rows, mod_rows = [], [], [], []
     a_pass = b_pass = c_pass = 0
     k_lo, k_hi = usable_k[0], usable_k[-1]
-    for tr, wr, rr, mr, bounds, heads, (mgrid, mvals), (om0, om8) in results:
-        tail_rows += tr
-        weyl_rows += wr
-        rm_rows += rr
-        mod_rows += mr
+    for seed_index, (bounds, heads, (mgrid, mvals), (om0, om8)) in enumerate(results):
+        tail_rows += [(seed_index, K, bounds[K]) for K in usable_k]
+        weyl_rows += [(seed_index, K, cfg.p ** K, heads[K]) for K in usable_k]
+        rm_rows += [(seed_index, N, v) for N, v in zip(mgrid, mvals)]
+        mod_rows += [(seed_index, 0, om0), (seed_index, 8, om8)]
         strict = all(bounds[a] > bounds[b] for a, b in zip(usable_k, usable_k[1:]))
         ratio_ok = heads[k_hi] > 0 and heads[k_lo] / heads[k_hi] >= 4.0
         if strict and ratio_ok:
@@ -663,31 +635,21 @@ def run_field_demo(cfg: ExperimentConfig) -> tuple[dict, dict, list[str]]:
     def one(seed_index: int):
         fp = tree.field(cfg.tree_spec(seeds[seed_index]), side)
         omegas, _ = dg.modulus_curve(fp, ctx, usable_k)
-        mod_rows = [(seed_index, K, om) for K, om in zip(usable_k, omegas)]
-        tr_rows = []
-        cover_ok = True
-        h_max = min(side, cfg.tau_max)
         dist = dg.translation_distances_field(fp, h_max)
-        for K, om in zip(usable_k, omegas):
-            eps = om + 1e-6
-            rep = dg.translation_vectors_field(fp, eps, h_max, distances=dist)
-            tr_rows.append(
-                (seed_index, K, eps, len(rep.accepted), rep.worst_empty_side, rep.covering_side)
-            )
-            if rep.covering_side > cfg.p ** K:
-                cover_ok = False
-        return mod_rows, tr_rows, omegas, cover_ok
+        return omegas, [dg.translation_vectors_field(fp, om + 1e-6, h_max, distances=dist) for om in omegas]
 
+    h_max = min(side, cfg.tau_max)
     results = _map_ordered(one, list(range(cfg.replicates)), effective_threads(cfg.threads))
     mod_rows, tr_rows = [], []
     monotone_ok = True
     covering_ok = True
-    for mr, tr, omegas, cover_ok in results:
-        mod_rows += mr
-        tr_rows += tr
+    for seed_index, (omegas, reports) in enumerate(results):
+        mod_rows += [(seed_index, K, om) for K, om in zip(usable_k, omegas)]
+        for K, rep in zip(usable_k, reports):
+            tr_rows.append((seed_index, K, rep.epsilon, len(rep.accepted), rep.worst_empty_side, rep.covering_side))
+            covering_ok = covering_ok and rep.covering_side <= cfg.p ** K
         if any(b > a + 1e-12 for a, b in zip(omegas, omegas[1:])):
             monotone_ok = False
-        covering_ok = covering_ok and cover_ok
     tables = {
         "field_moduli.csv": (["seed_index", "K", "omega"], mod_rows),
         "field_translations.csv": (

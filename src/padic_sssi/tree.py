@@ -68,6 +68,9 @@ class TreeSpec:
         PadicContext(self.p)  # primality check
         if not 0 < self.hurst < math.inf:
             raise ValueError(f"hurst must be a positive finite number, got {self.hurst}")
+        ratio = float(self.p) ** -self.hurst
+        if ratio == 1.0:
+            raise ValueError(f"hurst={self.hurst} is so small that p**-hurst rounds to 1.0")
         if self.kmax < 0:
             raise ValueError(f"kmax must be non-negative, got {self.kmax}")
         if self.dim < 1:
@@ -78,6 +81,9 @@ class TreeSpec:
         # residue tuples are linearized into a 64-bit stream tag, so the
         # deepest level's index space must fit that domain.
         checked_modulus(self.p, (self.kmax + 1) * self.dim)
+        # the worst translate difference is 2 |X_n| <= 4 max|xi| sum_{k <= kmax} p**(-k H)
+        if not math.isfinite(4.0 * laws.max_abs(self.law) * (1.0 - ratio ** (self.kmax + 1)) / (1.0 - ratio)):
+            raise ValueError(f"law={laws.law_to_dict(self.law)}: its largest draws overflow float64 in a path")
 
     def level_modulus(self, k: int) -> int:
         """Per-axis period p**(k+1) of level k."""

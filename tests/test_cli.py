@@ -181,6 +181,12 @@ def test_simulate_rejects_bad_law(tmp_path, capsys):
     assert run_cli(["simulate", "--law", '{"variant": "pareto", "alpha": 0.5}', "--out", tmp_path]) == 2
     assert "alpha" in capsys.readouterr().err
     assert run_cli(["simulate", "--law", "not-json", "--out", tmp_path]) == 2
+    # its largest draws, 8.30 * sigma, overflow a path
+    out = tmp_path / "huge"
+    huge = '{"variant": "gaussian", "sigma": 1e308}'
+    assert run_cli(["simulate", "--law", huge, "--kmax", 3, "--horizon", 16, "--out", out]) == 2
+    assert "sigma" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_deep_field_small_box(tmp_path):
@@ -208,10 +214,12 @@ def test_simulate_resource_cap(tmp_path, capsys, monkeypatch):
 
 
 def test_simulate_refuses_infinite_hurst(tmp_path, capsys):
-    out = tmp_path / "inf"
-    assert run_cli(["simulate", "--hurst", "inf", "--kmax", 3, "--horizon", 8, "--out", out]) == 2
-    assert "hurst" in capsys.readouterr().err
-    assert not out.exists()
+    # at 1e-300, p**-hurst rounds to 1.0 and the truncation bound divides by zero
+    for hurst in ("inf", "1e-300"):
+        out = tmp_path / hurst
+        assert run_cli(["simulate", "--hurst", hurst, "--kmax", 3, "--horizon", 8, "--out", out]) == 2
+        assert "hurst" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_analyze_roundtrip(tmp_path, capsys):
@@ -255,6 +263,12 @@ def test_analyze_input_errors(tmp_path, capsys):
     assert run_cli(["analyze", "--input", nonfinite, "--out", tmp_path / "nf"]) == 2
     assert "'1,nan'" in capsys.readouterr().err
     assert not (tmp_path / "nf").exists()
+    # finite values whose differences overflow float64
+    spread = tmp_path / "spread.csv"
+    spread.write_text("1e308\n-1e308\n1e308\n-1e308\n")
+    assert run_cli(["analyze", "--input", spread, "--out", tmp_path / "sp"]) == 2
+    assert "spread.csv" in capsys.readouterr().err
+    assert not (tmp_path / "sp").exists()
     ok = tmp_path / "ok.csv"
     ok.write_text("value\n1.0\n2.0\n3.0\n")
     assert run_cli(["analyze", "--input", ok, "--p", 4]) == 2

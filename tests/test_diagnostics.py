@@ -1,6 +1,7 @@
 """Almost-periodicity estimators on sequences with known-by-hand answers."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padic_sssi import diagnostics as dg
+from padic_sssi.errors import ConfigError
 from padic_sssi.padic import PadicContext
 
 CTX2 = PadicContext(2)
@@ -171,6 +173,33 @@ def test_profiles_match_separate_pass_definitions(values, q, data):
         got, want = profile(values, q, grid), reference(values, q, grid)
         assert [repr(v) for v in got.estimates] == [repr(v) for v in want]
         assert repr(got.headline) == repr(want[-1])
+
+
+@pytest.mark.parametrize(
+    "u, q",
+    [
+        (np.where(np.arange(64) % 3 == 0, -2.0, 2.0), 2000.0),  # each |u|**q overflows
+        (np.full(64, 1e307), 1.0),  # each |u|**q is finite, their sum is not
+    ],
+)
+def test_profiles_refuse_overflowing_q_without_warning(u, q):
+    grid = [1, 8, 64]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for profile in (dg.weyl_profile, dg.besicovitch_profile):
+            with pytest.raises(ConfigError, match=f"q={q}"):
+                profile(u, q, grid)
+
+
+def test_profiles_below_overflow_match_separate_pass_definitions():
+    u = np.random.default_rng(3).uniform(-2.0, 2.0, 256)
+    grid = [1, 8, 64, 256]
+    pairs = ((dg.weyl_profile, _weyl_reference), (dg.besicovitch_profile, _besicovitch_reference))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for profile, reference in pairs:
+            got = profile(u, 100.0, grid).estimates
+            assert [repr(v) for v in got] == [repr(v) for v in reference(u, 100.0, grid)]
 
 
 def test_padic_modulus_indicator():

@@ -1,6 +1,7 @@
 """Distributional identity tests and their analytic ingredients."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padic_sssi import identity, tree
+from padic_sssi.errors import ConfigError
 from padic_sssi.laws import Gaussian, Rademacher, SymmetricPareto
 from padic_sssi.padic import PadicContext
 from padic_sssi.tree import TreeSpec
@@ -83,6 +85,18 @@ def test_level_average_gaussian_homogeneity():
     b = tree.build_levels(make_spec(kmax=4, law=Gaussian(2.0), seed=9))
     for k in range(5):
         assert identity.level_average_B(b[k], 1.0) == pytest.approx(2.0 * identity.level_average_B(a[k], 1.0))
+
+
+def test_level_average_refuses_overflowing_q_without_warning():
+    values = tree.build_levels(make_spec(kmax=3, law=Gaussian(1.0), seed=4))[3]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="q=2000.0"):
+            identity.level_average_B(np.full(16, 2.0), 2000.0)  # 2**2000 overflows
+        with pytest.raises(ConfigError, match="q=1.0"):
+            identity.level_average_B(np.full(16, 1e308), 1.0)  # each term is finite, their sum is not
+        want = float(np.mean(np.abs(values) ** 100.0) ** (1.0 / 100.0))
+        assert repr(identity.level_average_B(values, 100.0)) == repr(want)
 
 
 def level_averages(spec, q):

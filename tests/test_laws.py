@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from padic_sssi import laws, rng
 from padic_sssi.laws import Gaussian, Rademacher, SymmetricPareto
@@ -26,6 +27,19 @@ def test_mean_abs_closed_forms():
     assert laws.mean_abs(Gaussian(3.0)) == pytest.approx(3.0 * math.sqrt(2.0 / math.pi))
     assert laws.mean_abs(Rademacher()) == 1.0
     assert laws.mean_abs(SymmetricPareto(1.5)) == pytest.approx(3.0)
+
+
+def test_max_abs_bounds_the_extreme_words():
+    words = np.array([0, 2**64 - 1], dtype=np.uint64)
+    lo, hi = ndtri(rng.uniform_open(words))
+    assert (round(lo, 4), round(hi, 4)) == (-8.2924, 8.2095)
+    assert laws.max_abs(Gaussian(1.0)) == 8.30
+    for law in (Gaussian(3.0), SymmetricPareto(1.5), SymmetricPareto(1.01), Rademacher()):
+        drawn = np.abs(laws._transform(law, words, words))
+        assert drawn.max() <= laws.max_abs(law) * (1 + 1e-12)
+    assert laws.max_abs(SymmetricPareto(1.5)) == pytest.approx(2.0 ** (53 / 1.5))
+    assert laws.max_abs(Rademacher()) == 1.0
+    assert laws.max_abs(SymmetricPareto(0.05)) == math.inf  # 2**1060
 
 
 def test_mean_abs_infinite_for_heavy_tail():

@@ -57,6 +57,10 @@ def test_resolve_config_rejections():
         scenarios.resolve_config({"scenario": "theorem-5-2", "horizon": 256})
     with pytest.raises(ConfigError, match="alpha_compare"):
         scenarios.resolve_config({"scenario": "equivalence", "alpha_compare": 1.0})
+    with pytest.raises(ConfigError, match="sigma"):
+        scenarios.resolve_config({"scenario": "equivalence", "law": {"variant": "gaussian", "sigma": 1e308}})
+    with pytest.raises(ConfigError, match="hurst"):
+        scenarios.resolve_config({"scenario": "theorem-5-2", "hurst": 1e-300})
 
 
 @pytest.mark.parametrize(

@@ -49,9 +49,13 @@ def test_spec_validation():
         make_spec(hurst=0.0)
     with pytest.raises(ValueError):
         make_spec(hurst=-1.0)
-    for hurst in (math.inf, math.nan):
+    for hurst in (math.inf, math.nan, 1e-300):  # 2.0**-1e-300 rounds to 1.0
         with pytest.raises(ValueError, match="hurst"):
             make_spec(hurst=hurst)
+    # value-range gate: 4 * 8.30 * sigma * sum_k 2**-k overflows at sigma 1e308, not at 1e306
+    with pytest.raises(ValueError, match="law"):
+        make_spec(law=Gaussian(1e308))
+    make_spec(law=Gaussian(1e306))
     with pytest.raises(ValueError):
         make_spec(kmax=-1)
     with pytest.raises(ValueError):
